@@ -1,16 +1,16 @@
 // Region simulation: a full day of the production control plane for one
 // region, exercising every moving part of Figure 2 — telemetry ingestion,
-// the Intelligent Pooling Worker retraining every 30 minutes (with two
-// injected crashes), recommendation documents in the Cosmos DB stand-in,
-// the Pooling Worker's stale/default fallbacks, Arbitrator lease
-// management with an unhealthy worker replacement, and the event-driven
-// live-pool simulation scoring the final outcome.
+// the live control plane retraining every 30 minutes (with the §7.5
+// guardrail and two injected crashes), recommendation documents in the
+// Cosmos DB stand-in, the pooling side's stale/default fallbacks,
+// Arbitrator lease management with an unhealthy worker replacement, and the
+// event-driven live-pool simulation scoring the final outcome.
 #include <cstdio>
 
 #include "common/strings.h"
-#include "service/monitoring.h"
+#include "live/replay.h"
 #include "service/arbitrator.h"
-#include "service/control_loop.h"
+#include "service/monitoring.h"
 #include "workload/demand_generator.h"
 
 int main() {
@@ -62,23 +62,23 @@ int main() {
   pipeline.recommendation_bins = 120;
   auto engine = RecommendationEngine::Create(pipeline);
 
-  ControlLoopConfig loop;
+  live::ReplayConfig loop;
   loop.run_interval_seconds = 1800.0;
-  loop.worker.history_bins = 720;  // train on the trailing 6 h
-  loop.pooling.default_pool_size = 6;
+  loop.history_bins = 720;  // train on the trailing 6 h
+  loop.default_pool_size = 6;
   loop.sim.creation_latency_mean_seconds = 90.0;
   loop.sim.creation_latency_cv = 0.2;
   loop.sim.seed = 7;
 
   // Crash pipeline runs 10 and 11 (~5:00-5:30) to exercise §7.6 fallbacks.
-  auto result = ControlLoop::Run(
-      *engine, loop, demand, events,
+  auto replay = live::Replay(
+      *engine, loop, {{demand, events}},
       [](size_t run) { return run == 10 || run == 11; });
-  if (!result.ok()) {
-    std::fprintf(stderr, "control loop: %s\n",
-                 result.status().ToString().c_str());
+  if (!replay.ok()) {
+    std::fprintf(stderr, "replay: %s\n", replay.status().ToString().c_str());
     return 1;
   }
+  const live::ReplayResult& result = replay->front();
 
   // --- the day's dashboard (the §7.5 monitoring metrics) ------------------------
   // Feed the monitoring system (the Kusto-backed dashboard of §7.5) and pull
@@ -89,7 +89,7 @@ int main() {
                                  /*static_reference_pool=*/40);
   {
     double t = 0.0;
-    for (size_t i = 0; i < result->pipeline_runs; ++i) {
+    for (size_t i = 0; i < result.pipeline_runs; ++i) {
       t += loop.run_interval_seconds;
       // Replay pipeline statuses in order: failures were runs 10 and 11.
       const PipelineStatus status = (i == 10 || i == 11)
@@ -98,17 +98,17 @@ int main() {
       monitor->RecordPipelineRun(t, status);
       (void)monitor->CheckAlerts(t);
     }
-    monitor->RecordClusterIdle(86400.0, result->sim.idle_cluster_seconds);
-    monitor->RecordRecommendation(86400.0,
-                                  static_cast<double>(result->applied_schedule.back()));
+    monitor->RecordClusterIdle(86400.0, result.sim.idle_cluster_seconds);
+    monitor->RecordRecommendation(
+        86400.0, static_cast<double>(result.applied_schedule.back()));
   }
 
   std::printf("\n===== Intelligent Pooling daily dashboard =====\n");
   std::printf("pipeline runs          : %zu (%zu failed, %zu guardrail)\n",
-              result->pipeline_runs, result->pipeline_failures,
-              result->guardrail_rejections);
-  std::printf("fallback-to-default    : %zu bins\n", result->fallback_bins);
-  const SimResult& sim = result->sim;
+              result.pipeline_runs, result.pipeline_failures,
+              result.guardrail_rejections);
+  std::printf("fallback-to-default    : %zu bins\n", result.fallback_bins);
+  const SimResult& sim = result.sim;
   std::printf("requests served        : %ld\n", sim.total_requests);
   std::printf("pool hit rate          : %.2f%%\n", 100.0 * sim.hit_rate);
   std::printf("avg / p99 / max wait   : %.2f / %.1f / %.1f s\n",

@@ -81,7 +81,7 @@ class RecommendationEngine {
   /// forecaster Refit()s from the previous tick's state (warm-started SSA
   /// training) and writes this tick's state back into `warm`. A null `warm`
   /// behaves exactly like Run(history). The engine itself stays stateless —
-  /// it is shared across RunFleet's concurrent per-pool loops — so each
+  /// the live plane shares it across its concurrent per-pool runs — so each
   /// caller owns its warm state.
   Result<Recommendation> Run(const TimeSeries& history,
                              ForecastWarmState* warm) const;

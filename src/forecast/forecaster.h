@@ -41,7 +41,7 @@ class Forecaster {
 };
 
 /// Warm state carried by the SSA trainer across control-loop ticks. Owned by
-/// the caller (one per pool under RunFleet's fan-out); a null pointer in
+/// the caller (one per pool in the live plane's fan-out); a null pointer in
 /// ForecastParams keeps every run cold. All numeric state is in RAW
 /// (unscaled) units so it survives per-tick changes of the normalization
 /// scale.

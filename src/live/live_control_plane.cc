@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <chrono>
+#include <cstddef>
 #include <utility>
 #include <vector>
 
@@ -12,6 +13,7 @@
 #include "service/tuning_io.h"
 #include "service/sharded_document_store.h"
 #include "service/sharded_telemetry_store.h"
+#include "tsdata/metrics.h"
 #include "tsdata/time_series.h"
 
 namespace ipool::live {
@@ -54,6 +56,9 @@ Status LiveControlPlaneConfig::Validate() const {
   if (min_history_points == 0) {
     return Status::InvalidArgument("min_history_points must be >= 1");
   }
+  if (!(guardrail_mae_ratio >= 0.0)) {
+    return Status::InvalidArgument("guardrail_mae_ratio must be >= 0");
+  }
   if (tune_interval_seconds < 0.0) {
     return Status::InvalidArgument("tune interval must be >= 0");
   }
@@ -84,6 +89,8 @@ struct LiveControlPlane::PoolWork {
   /// null serves with the shared engine.
   const RecommendationEngine* engine = nullptr;
   Result<Recommendation> result = Status::Internal("not computed");
+  /// The guardrail held `result` back; the previous document keeps serving.
+  bool held = false;
 };
 
 Result<std::unique_ptr<LiveControlPlane>> LiveControlPlane::Create(
@@ -136,6 +143,10 @@ LiveControlPlane::LiveControlPlane(const RecommendationEngine* engine,
                                       {{"status", "idle"}});
     pool_failures_ = metrics->GetCounter("ipool_live_pool_failures_total");
     pools_skipped_ = metrics->GetCounter("ipool_live_pools_skipped_total");
+    if (config_.guardrail_mae_ratio > 0.0) {
+      guardrail_rejections_ =
+          metrics->GetCounter("ipool_live_guardrail_rejections_total");
+    }
     pools_published_gauge_ = metrics->GetGauge("ipool_live_pools_published");
     tick_seconds_ = metrics->GetHistogram("ipool_live_tick_seconds");
     tuning_docs_rejected_ =
@@ -186,6 +197,35 @@ const RecommendationEngine* LiveControlPlane::ResolveEngine(
   if (tuning_docs_rejected_ != nullptr) tuning_docs_rejected_->Add(1);
   it = pool_engines_.find(pool);
   return it != pool_engines_.end() ? it->second.engine.get() : nullptr;
+}
+
+bool LiveControlPlane::GuardrailTrips(const PoolWork& item,
+                                      const ForecastRef& ref,
+                                      double now) const {
+  const std::vector<double>& predicted = ref.predicted_demand;
+  const double interval = config_.bin_interval_seconds;
+  // Bins of the reference forecast that have elapsed by `now`, compared as
+  // a double first: telemetry times come from clients, so the quotient can
+  // be far outside size_t.
+  const double elapsed = (now - ref.start_time) / interval;
+  size_t bins = 0;
+  if (elapsed >= static_cast<double>(predicted.size())) {
+    bins = predicted.size();
+  } else if (elapsed > 0.0) {
+    bins = static_cast<size_t>(elapsed);
+  }
+  if (bins == 0) return false;
+  auto actual = telemetry_->QueryBinned(config_.demand_metric_prefix + item.key,
+                                        ref.start_time, interval, bins);
+  if (!actual.ok()) return false;
+  auto mae = Mae(actual->values(),
+                 std::vector<double>(predicted.begin(),
+                                     predicted.begin() +
+                                         static_cast<ptrdiff_t>(bins)));
+  if (!mae.ok()) return false;
+  const double mean_actual =
+      item.history.Sum() / static_cast<double>(item.history.size());
+  return *mae > config_.guardrail_mae_ratio * (mean_actual + 1.0);
 }
 
 LiveControlPlane::~LiveControlPlane() { Stop(); }
@@ -307,12 +347,33 @@ TickStatus LiveControlPlane::TickOnce() {
         options);
   }
 
+  // Guardrail (§7.5): judge each pool's previous forecast against the
+  // telemetry observed since it started. A forecast that missed by more
+  // than the limit means the model is mis-tracking this pool, so the fresh
+  // recommendation is not trusted and the previous document keeps serving.
+  // Serial: it touches the guardrail_refs_ map.
+  size_t held = 0;
+  if (config_.guardrail_mae_ratio > 0.0 && !work.empty()) {
+    obs::ScopedSpan span(config_.obs.tracer, "live.guardrail");
+    for (PoolWork& item : work) {
+      if (!item.result.ok()) continue;
+      const double start = item.last_time + config_.bin_interval_seconds;
+      auto [ref, first] = guardrail_refs_.try_emplace(item.key);
+      item.held = !first && GuardrailTrips(item, ref->second, start);
+      held += item.held ? 1 : 0;
+      ref->second = ForecastRef{start, item.result->predicted_demand};
+    }
+    if (guardrail_rejections_ != nullptr && held > 0) {
+      guardrail_rejections_->Add(held);
+    }
+  }
+
   // Stage 3: publish every fresh recommendation through PutBatch — ops are
   // grouped by shard and each shard's snapshot swaps exactly once, so
   // readers of a shard see either none or all of this tick's writes to it.
   // Unchanged serialized documents reuse the store's cached payload bytes
-  // (payload_builds stays flat). Failed pools are not touched: their
-  // previous document keeps serving (§7.6).
+  // (payload_builds stays flat). Failed and held pools are not touched:
+  // their previous document keeps serving (§7.6).
   const double wall = Now();
   size_t published = 0;
   size_t failed = 0;
@@ -321,7 +382,7 @@ TickStatus LiveControlPlane::TickOnce() {
     obs::ScopedSpan span(config_.obs.tracer, "live.publish");
     std::vector<ShardedDocumentStore::PutOp> puts;
     for (PoolWork& item : work) {
-      if (!item.result.ok()) continue;
+      if (!item.result.ok() || item.held) continue;
       StoredRecommendation stored;
       stored.recommendation = std::move(*item.result);
       stored.start_time = item.last_time + config_.bin_interval_seconds;
@@ -389,9 +450,9 @@ TickStatus LiveControlPlane::TickOnce() {
     if (!puts.empty()) documents_->PutBatch(std::move(puts));
   }
 
-  const TickStatus status = failed > 0   ? TickStatus::kFailed
-                            : published > 0 ? TickStatus::kOk
-                                            : TickStatus::kIdle;
+  const TickStatus status = failed > 0             ? TickStatus::kFailed
+                            : published + held > 0 ? TickStatus::kOk
+                                                   : TickStatus::kIdle;
   switch (status) {
     case TickStatus::kOk:
       if (ticks_ok_ != nullptr) ticks_ok_->Add(1);
@@ -417,12 +478,13 @@ TickStatus LiveControlPlane::TickOnce() {
     if (!last_error.empty()) status_.last_error = last_error;
     for (const PoolWork& item : work) {
       PoolState& state = pool_states_[item.key];
-      if (item.result.ok()) {
+      if (!item.result.ok()) {
+        ++state.failures;
+      } else if (item.held) {
+        ++state.guardrail_rejections;
+      } else {
         state.last_published = wall;
         ++state.publishes;
-        state.consecutive_failures = 0;
-      } else {
-        ++state.consecutive_failures;
       }
     }
     for (const auto& [key, state] : pool_states_) {
@@ -473,6 +535,12 @@ LiveStatus LiveControlPlane::Snapshot() const {
   }
   out.max_recommendation_age_seconds = max_age;
   return out;
+}
+
+std::map<std::string, LiveControlPlane::PoolState>
+LiveControlPlane::PoolStates() const {
+  std::lock_guard<std::mutex> lock(state_mu_);
+  return pool_states_;
 }
 
 }  // namespace ipool::live

@@ -14,8 +14,11 @@
 //      history are read under ONE shard shared lock (SnapshotBinned), so
 //      the view is consistent per pool without any global mutex;
 //   2. compute   — with no lock held, warm-refit the per-pool forecaster
-//      state and run the SAA solve, fanned out over the exec pool
-//      (RunFleet-style: one task per pool, per-pool warm state owned here);
+//      state and run the SAA solve, fanned out over the exec pool (one task
+//      per pool, per-pool warm state owned here);
+//   (guardrail)  — when guardrail_mae_ratio > 0, hold back every fresh
+//      recommendation whose pool's previous forecast missed the telemetry
+//      observed since by more than the §7.5 limit;
 //   3. publish   — PutBatch every fresh recommendation into the
 //      ShardedDocumentStore: ops are grouped by shard and each shard's
 //      snapshot is swapped exactly once, so GetRecommendation readers of a
@@ -44,6 +47,7 @@
 #include <mutex>
 #include <string>
 #include <thread>
+#include <vector>
 
 #include "autotune/fleet_tuner.h"
 #include "common/status.h"
@@ -82,11 +86,23 @@ struct LiveControlPlaneConfig {
   /// Carry per-pool ForecastWarmState across ticks (the SSA training fast
   /// path). Disable to force every tick cold.
   bool warm_refit = true;
+  /// §7.5 forecast-accuracy guardrail; 0 disables it. When positive, a
+  /// `live.guardrail` stage between compute and publish scores each pool's
+  /// previous forecast against the telemetry observed since it started: an
+  /// MAE over the elapsed bins above
+  ///   guardrail_mae_ratio * (mean of this tick's history + 1)
+  /// holds the fresh recommendation back. The previous document keeps
+  /// serving, the hold counts in ipool_live_guardrail_rejections_total, and
+  /// the tick does not fail. The fresh forecast becomes the next check's
+  /// reference either way: the model retrains every tick, so one bad
+  /// forecast must not poison validation forever.
+  double guardrail_mae_ratio = 0.0;
   /// Fan-out for the per-pool compute stage; null runs pools serially.
   exec::ExecContext exec;
   /// Metrics + spans sink (optional): ipool_live_ticks_total{status},
   /// ipool_live_tick_seconds, ipool_live_recommendation_age_seconds{pool},
-  /// and live.tick > live.snapshot / live.refit_solve / live.publish spans.
+  /// and live.tick > live.snapshot / live.refit_solve / live.guardrail /
+  /// live.publish spans.
   ObsContext obs;
   /// Wall clock in seconds used for recommendation ages and document
   /// timestamps; null uses std::chrono::steady_clock. Tests inject a
@@ -118,7 +134,8 @@ struct LiveControlPlaneConfig {
 enum class TickStatus {
   /// No pool had enough telemetry (or none exists yet); nothing changed.
   kIdle,
-  /// Every eligible pool published a fresh recommendation.
+  /// Every eligible pool ran its pipeline: each published a fresh
+  /// recommendation or was held by the guardrail.
   kOk,
   /// At least one pool's pipeline failed; its stale document kept serving.
   kFailed,
@@ -152,6 +169,15 @@ struct LiveStatus {
 
 class LiveControlPlane {
  public:
+  /// One pool's pipeline outcomes since Create.
+  struct PoolState {
+    double last_published = 0.0;  ///< clock seconds of the last good Put
+    uint64_t publishes = 0;
+    uint64_t failures = 0;
+    /// Fresh recommendations the guardrail held back.
+    uint64_t guardrail_rejections = 0;
+  };
+
   /// The stores are internally synchronized (per-shard mutexes), so the
   /// plane needs no external coordination with the serving router — its
   /// reads and publishes are atomic per shard by construction. `engine` and
@@ -189,17 +215,19 @@ class LiveControlPlane {
   /// Thread-safe status snapshot (ages computed against the config clock).
   LiveStatus Snapshot() const;
 
+  /// Thread-safe copy of every pool's outcome counts, keyed by pool.
+  std::map<std::string, PoolState> PoolStates() const;
+
   const LiveControlPlaneConfig& config() const { return config_; }
 
  private:
   /// A pool discovered in the snapshot stage, history copied out so the
   /// compute stage runs without the store lock.
   struct PoolWork;
-  /// Publication bookkeeping for one pool.
-  struct PoolState {
-    double last_published = 0.0;  ///< clock seconds of the last good Put
-    uint64_t publishes = 0;
-    uint64_t consecutive_failures = 0;
+  /// A pool's last successful forecast: the guardrail's reference.
+  struct ForecastRef {
+    double start_time = 0.0;
+    std::vector<double> predicted_demand;
   };
 
   /// Per-pool serving override built from a parsed `tuning.<pool>`
@@ -228,6 +256,12 @@ class LiveControlPlane {
   /// ipool_live_tuning_docs_rejected_total.
   const RecommendationEngine* ResolveEngine(const std::string& pool);
 
+  /// True when `ref`'s forecast missed the telemetry observed over its
+  /// elapsed bins (up to `now`) by more than the guardrail limit for
+  /// `item`'s history. No elapsed bin means nothing to judge: false.
+  bool GuardrailTrips(const PoolWork& item, const ForecastRef& ref,
+                      double now) const;
+
   const RecommendationEngine* engine_;
   ShardedTelemetryStore* telemetry_;
   ShardedDocumentStore* documents_;
@@ -237,6 +271,9 @@ class LiveControlPlane {
   /// pointers are stable, so the parallel compute stage can write each
   /// pool's entry concurrently).
   std::map<std::string, ForecastWarmState> warm_;
+
+  /// Guardrail references per pool; touched only inside TickOnce.
+  std::map<std::string, ForecastRef> guardrail_refs_;
 
   /// Fleet auto-tuner (null when tune_interval_seconds == 0) and its
   /// per-pool bookkeeping; all touched only inside TickOnce.
@@ -264,6 +301,7 @@ class LiveControlPlane {
   obs::Counter* ticks_idle_ = nullptr;
   obs::Counter* pool_failures_ = nullptr;
   obs::Counter* pools_skipped_ = nullptr;
+  obs::Counter* guardrail_rejections_ = nullptr;
   obs::Gauge* pools_published_gauge_ = nullptr;
   obs::Histogram* tick_seconds_ = nullptr;
   obs::Counter* tuning_docs_rejected_ = nullptr;

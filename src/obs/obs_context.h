@@ -1,6 +1,6 @@
 // ObsContext: the observability handle threaded through the control-plane
-// configs (ControlLoopConfig, PipelineConfig, SaaConfig, ForecastParams,
-// SimConfig, worker configs). It is two non-owning pointers; the default
+// configs (LiveControlPlaneConfig, ReplayConfig, PipelineConfig, SaaConfig,
+// ForecastParams, SimConfig). It is two non-owning pointers; the default
 // (both null) disables observability and every instrumented call site
 // degrades to a single branch, so the hot paths stay zero-cost unless an
 // operator wires a registry/tracer in (tools/ipool_cli --metrics-out /

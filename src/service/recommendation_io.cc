@@ -11,10 +11,12 @@ namespace ipool {
 int64_t StoredRecommendation::TargetAt(double t) const {
   const auto& schedule = recommendation.pool_size_per_bin;
   if (t < start_time) return schedule.front();
+  // Range-check the bin index as a double first: a document the parser
+  // accepts (start=-1e30) can put it far outside size_t, where the
+  // conversion is undefined.
   const double raw = (t - start_time) / interval_seconds;
-  const size_t idx = static_cast<size_t>(raw);
-  if (idx >= schedule.size()) return schedule.back();
-  return schedule[idx];
+  if (!(raw < static_cast<double>(schedule.size()))) return schedule.back();
+  return schedule[static_cast<size_t>(raw)];
 }
 
 std::string SerializeRecommendation(const StoredRecommendation& stored) {

@@ -64,11 +64,6 @@ class ShardedTelemetryStore {
   /// is before the metric's last point.
   Status Record(const std::string& metric, double time, double value);
 
-  /// Convenience for counting events (value = 1).
-  Status RecordEvent(const std::string& metric, double time) {
-    return Record(metric, time, 1.0);
-  }
-
   /// Applies a parse-validated batch with one lock acquisition per touched
   /// shard; per-shard all-or-nothing (see file comment).
   Status RecordBatch(std::vector<BatchPoint> points);

@@ -25,11 +25,6 @@ class TelemetryStore {
   /// point of the same metric.
   Status Record(const std::string& metric, double time, double value);
 
-  /// Convenience for counting events (value = 1).
-  Status RecordEvent(const std::string& metric, double time) {
-    return Record(metric, time, 1.0);
-  }
-
   /// Sums point values into fixed bins over [start, start+bins*interval).
   /// Metrics never written yield all-zero series (a region with no traffic
   /// is not an error).

@@ -26,19 +26,14 @@ Result<std::vector<PoolSchedule>> SolveFleetSchedules(
     const std::vector<FleetSolveSpec>& specs,
     const exec::ExecContext& exec) {
   // Each spec's solve touches only its own slot, so the fleet fans out over
-  // the pool with schedules still returned in spec order. Tracers are
-  // stripped from the per-spec obs when the solves actually run concurrently
-  // (obs::Tracer is single-threaded); lock-free metrics ride along.
-  const bool concurrent = exec.enabled() && specs.size() > 1;
+  // the pool with schedules still returned in spec order.
   std::vector<PoolSchedule> schedules(specs.size());
   std::vector<Status> statuses(specs.size());
   exec::ParallelFor(exec, 0, specs.size(), [&](size_t lo, size_t hi) {
     for (size_t idx = lo; idx < hi; ++idx) {
       statuses[idx] = [&]() -> Status {
-        SaaConfig config = specs[idx].saa;
-        if (concurrent) config.obs.tracer = nullptr;
         IPOOL_ASSIGN_OR_RETURN(SaaOptimizer optimizer,
-                               SaaOptimizer::Create(config));
+                               SaaOptimizer::Create(specs[idx].saa));
         if (specs[idx].period_bins == 0) {
           IPOOL_ASSIGN_OR_RETURN(schedules[idx],
                                  optimizer.Optimize(specs[idx].demand));

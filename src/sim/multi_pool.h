@@ -99,8 +99,7 @@ struct FleetSolveSpec {
 /// Solves every class's schedule for a fleet (region x node-size pools).
 /// The solves are independent, so they fan out over `exec`'s pool when one
 /// is wired in; schedules come back in spec order, bit-identical to solving
-/// serially. Any per-spec ObsContext keeps its metrics in the parallel case
-/// but drops its tracer (obs::Tracer is single-threaded).
+/// serially.
 Result<std::vector<PoolSchedule>> SolveFleetSchedules(
     const std::vector<FleetSolveSpec>& specs,
     const exec::ExecContext& exec = {});

@@ -99,10 +99,9 @@ struct ParetoPoint {
 /// evaluates the schedule against `actual_demand` (they differ when planning
 /// uses a forecast). Series must share bin count and width.
 ///
-/// `obs` is threaded into every per-alpha solve (metrics always; the tracer
-/// only on the serial path, since obs::Tracer is single-threaded). `exec`
-/// fans the alphas out over the pool when one is wired in; the returned
-/// points are in alpha order and bit-identical to the serial sweep.
+/// `obs` is threaded into every per-alpha solve. `exec` fans the alphas out
+/// over the pool when one is wired in; the returned points are in alpha
+/// order and bit-identical to the serial sweep.
 Result<std::vector<ParetoPoint>> SweepPareto(
     const TimeSeries& planning_demand, const TimeSeries& actual_demand,
     const PoolModelConfig& pool_config, const std::vector<double>& alphas,

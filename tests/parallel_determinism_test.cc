@@ -1,11 +1,12 @@
 // The determinism contract of DESIGN.md "Execution & parallelism", enforced
 // end to end: every parallelized path — blocked nn/linalg MatMul (forward
 // and backward), deep-model training with an ambient pool, SweepPareto,
-// fleet solves and the fleet control loop — must produce results
+// fleet solves and multi-pool trace replays — must produce results
 // bit-identical to its serial execution at every thread count. Run under
 // TSan in CI, so these double as data-race coverage of the runtime.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <memory>
 #include <thread>
@@ -20,8 +21,8 @@
 #include "nn/gradcheck.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
+#include "live/replay.h"
 #include "nn/ops.h"
-#include "service/control_loop.h"
 #include "sim/multi_pool.h"
 #include "solver/saa_optimizer.h"
 #include "tsdata/time_series.h"
@@ -337,7 +338,31 @@ TEST(ParallelDeterminismTest, FleetSolveErrorsReportFirstFailingSpec) {
   EXPECT_FALSE(result.ok());
 }
 
-TEST(ParallelDeterminismTest, ControlLoopFleetBitIdentical) {
+// Fleet solves fan out with the caller's tracer intact: the tracer keeps
+// per-thread span buffers, so every concurrent solve records its span.
+TEST(ParallelDeterminismTest, FleetSolvesTraceEverySpec) {
+  obs::Tracer tracer;
+  std::vector<FleetSolveSpec> specs(4);
+  for (size_t c = 0; c < specs.size(); ++c) {
+    specs[c].demand = SyntheticDemand(240, 80 + c);
+    specs[c].saa.pool.tau_bins = 3;
+    specs[c].saa.pool.stableness_bins = 10;
+    specs[c].saa.obs.tracer = &tracer;
+  }
+  exec::ThreadPool pool(2);
+  ASSERT_TRUE(SolveFleetSchedules(specs, {&pool}).ok());
+  const auto spans = tracer.FinishedSpans();
+  EXPECT_EQ(std::count_if(spans.begin(), spans.end(),
+                          [](const obs::SpanRecord& span) {
+                            return span.name == "solve";
+                          }),
+            static_cast<ptrdiff_t>(specs.size()));
+  EXPECT_EQ(tracer.dropped(), 0u);
+}
+
+// A multi-pool replay fans each tick's pools out over the plane's pool; the
+// applied schedules and simulations must match the serial replay exactly.
+TEST(ParallelDeterminismTest, ReplayFleetBitIdentical) {
   PipelineConfig pipeline;
   pipeline.kind = PipelineKind::k2Step;
   pipeline.model = ModelKind::kSsa;
@@ -350,7 +375,7 @@ TEST(ParallelDeterminismTest, ControlLoopFleetBitIdentical) {
   auto engine = RecommendationEngine::Create(pipeline);
   ASSERT_TRUE(engine.ok());
 
-  std::vector<FleetPoolSpec> pools;
+  std::vector<live::ReplayPool> pools;
   for (size_t p = 0; p < 3; ++p) {
     WorkloadConfig wconfig;
     wconfig.duration_days = 0.25;
@@ -358,34 +383,38 @@ TEST(ParallelDeterminismTest, ControlLoopFleetBitIdentical) {
     wconfig.diurnal_amplitude = 0.0;
     wconfig.seed = 70 + p;
     auto generator = DemandGenerator::Create(wconfig);
-    FleetPoolSpec spec;
-    spec.demand = generator->GenerateBinned();
-    spec.request_events = generator->GenerateEvents();
-    spec.config.run_interval_seconds = 1800.0;
-    spec.config.worker.history_bins = 480;
-    spec.config.pooling.default_pool_size = 5;
-    spec.config.sim.creation_latency_mean_seconds = 90.0;
-    pools.push_back(std::move(spec));
+    pools.push_back({generator->GenerateBinned(), generator->GenerateEvents()});
   }
+  live::ReplayConfig config;
+  config.run_interval_seconds = 1800.0;
+  config.history_bins = 480;
+  config.default_pool_size = 5;
+  config.sim.creation_latency_mean_seconds = 90.0;
 
-  auto serial = ControlLoop::RunFleet(*engine, pools);
-  ASSERT_TRUE(serial.ok());
+  auto serial = live::Replay(*engine, config, pools);
+  ASSERT_TRUE(serial.ok()) << serial.status().ToString();
   ASSERT_EQ(serial->size(), pools.size());
   for (size_t threads : ThreadCounts()) {
     exec::ThreadPool thread_pool(threads);
-    auto parallel = ControlLoop::RunFleet(*engine, pools, {&thread_pool});
+    config.exec.pool = &thread_pool;
+    auto parallel = live::Replay(*engine, config, pools);
     ASSERT_TRUE(parallel.ok()) << threads;
     ASSERT_EQ(parallel->size(), serial->size());
     for (size_t i = 0; i < serial->size(); ++i) {
-      EXPECT_EQ((*serial)[i].applied_schedule, (*parallel)[i].applied_schedule)
+      const live::ReplayResult& a = (*serial)[i];
+      const live::ReplayResult& b = (*parallel)[i];
+      EXPECT_EQ(a.applied_schedule, b.applied_schedule)
           << threads << " pool " << i;
-      EXPECT_EQ((*serial)[i].pipeline_runs, (*parallel)[i].pipeline_runs);
-      EXPECT_EQ((*serial)[i].sim.total_requests,
-                (*parallel)[i].sim.total_requests);
-      EXPECT_EQ((*serial)[i].sim.total_wait_seconds,
-                (*parallel)[i].sim.total_wait_seconds);
-      EXPECT_EQ((*serial)[i].sim.idle_cluster_seconds,
-                (*parallel)[i].sim.idle_cluster_seconds);
+      EXPECT_EQ(a.pipeline_runs, b.pipeline_runs);
+      EXPECT_EQ(a.pipeline_failures, b.pipeline_failures);
+      EXPECT_EQ(a.guardrail_rejections, b.guardrail_rejections);
+      EXPECT_EQ(a.fallback_bins, b.fallback_bins);
+      EXPECT_EQ(a.sim.total_requests, b.sim.total_requests);
+      EXPECT_EQ(a.sim.pool_hits, b.sim.pool_hits);
+      EXPECT_EQ(a.sim.total_wait_seconds, b.sim.total_wait_seconds);
+      EXPECT_EQ(a.sim.p99_wait_seconds, b.sim.p99_wait_seconds);
+      EXPECT_EQ(a.sim.idle_cluster_seconds, b.sim.idle_cluster_seconds);
+      EXPECT_EQ(a.sim.clusters_created, b.sim.clusters_created);
     }
   }
 }

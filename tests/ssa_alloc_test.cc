@@ -36,7 +36,7 @@ namespace {
 std::atomic<size_t> g_live_bytes{0};
 std::atomic<size_t> g_peak_bytes{0};
 
-void TrackAlloc(void* p) {
+[[maybe_unused]] void TrackAlloc(void* p) {
   if (p == nullptr) return;
   const size_t bytes = malloc_usable_size(p);
   const size_t live =
@@ -47,7 +47,7 @@ void TrackAlloc(void* p) {
   }
 }
 
-void TrackFree(void* p) {
+[[maybe_unused]] void TrackFree(void* p) {
   if (p == nullptr) return;
   g_live_bytes.fetch_sub(malloc_usable_size(p), std::memory_order_relaxed);
 }

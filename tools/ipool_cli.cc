@@ -94,8 +94,9 @@
 // `evaluate` scores a schedule with the analytical queueing model (§4.1);
 // `simulate` replays the demand through the event-driven pool simulator;
 // `sweep` prints the alpha' Pareto frontier of SAA-on-history;
-// `loop` drives the full control plane (telemetry ingest -> periodic
-// pipeline runs -> pooling worker -> simulator) end to end.
+// `loop` replays the trace through the live control plane on a virtual
+// clock (telemetry -> periodic ticks with the §7.5 guardrail -> pooling
+// reads with §7.6 fallbacks -> simulator) end to end.
 //
 // Observability (recommend, simulate and loop): `--metrics-out FILE`
 // writes Prometheus text exposition, `--trace-out FILE` writes one JSON
@@ -120,6 +121,7 @@
 #include "common/strings.h"
 #include "core/recommendation_engine.h"
 #include "live/live_control_plane.h"
+#include "live/replay.h"
 #include "exec/task_profiler.h"
 #include "exec/thread_pool.h"
 #include "forecast/forecaster.h"
@@ -129,13 +131,10 @@
 #include "obs/export.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
-#include "service/control_loop.h"
-#include "service/document_store.h"
 #include "service/sharded_document_store.h"
 #include "service/sharded_telemetry_store.h"
 #include "service/monitoring.h"
 #include "service/recommendation_io.h"
-#include "service/telemetry_store.h"
 #include "service/tuning_io.h"
 #include "sim/pool_simulator.h"
 #include "solver/saa_optimizer.h"
@@ -657,27 +656,26 @@ int CmdLoop(const std::map<std::string, std::string>& flags) {
   pipeline.forecast.exec.pool = thread_pool.get();
   auto engine = DieOnError(RecommendationEngine::Create(pipeline), "config");
 
-  ControlLoopConfig config;
+  live::ReplayConfig config;
   config.run_interval_seconds = NumFlag(flags, "run-interval", 1800.0);
-  config.worker.interval_seconds = demand.interval();
-  config.worker.history_bins = static_cast<size_t>(
+  config.history_bins = static_cast<size_t>(
       NumFlag(flags, "history-bins",
               static_cast<double>(std::max<size_t>(8, demand.size() / 2))));
   config.sim.creation_latency_mean_seconds = NumFlag(flags, "latency", 90.0);
   config.sim.creation_latency_cv = NumFlag(flags, "latency-cv", 0.2);
   config.sim.seed = seed;
   config.obs = obs.Context();
-  auto result = DieOnError(
-      ControlLoop::Run(engine, config, demand, events), "control loop");
+  const live::ReplayResult result =
+      DieOnError(live::Replay(engine, config, {{demand, events}}), "replay")
+          .front();
   if (thread_pool != nullptr) thread_pool->PublishTo(&obs.registry);
 
   // Bridge the §7.5 dashboard into the same registry before exporting.
   const double horizon =
       demand.interval() * static_cast<double>(demand.size());
-  auto monitor =
-      DieOnError(Monitor::Create(AlertConfig{}, CogsModel{},
-                                 config.pooling.default_pool_size),
-                 "monitor");
+  auto monitor = DieOnError(
+      Monitor::Create(AlertConfig{}, CogsModel{}, config.default_pool_size),
+      "monitor");
   const size_t successes = result.pipeline_runs - result.pipeline_failures -
                            result.guardrail_rejections;
   for (size_t i = 0; i < result.pipeline_failures; ++i) {
