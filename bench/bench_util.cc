@@ -1,8 +1,6 @@
 #include "bench/bench_util.h"
 
 #include <algorithm>
-#include <cstring>
-#include <thread>
 
 #include "forecast/forecaster.h"
 #include "obs/export.h"
@@ -90,98 +88,13 @@ CurvePoint EvalTradeoffPoint(ModelKind model, PipelineKind pipeline,
 std::vector<CurvePoint> SweepTradeoffGrid(ModelKind model,
                                           PipelineKind pipeline,
                                           const TimeSeries& train,
-                                          const TimeSeries& eval,
-                                          const exec::ExecContext& exec) {
-  // Flattened grid, fanned out over the pool (each point is a full
-  // independent pipeline run writing only its own slot). The point order is
-  // index-fixed, so the computed front matches the serial sweep exactly.
-  const std::vector<std::pair<double, double>> grid = TradeoffGridPoints(model);
-  std::vector<CurvePoint> points(grid.size());
-  exec::ParallelFor(
-      exec, 0, grid.size(),
-      [&](size_t lo, size_t hi) {
-    for (size_t idx = lo; idx < hi; ++idx) {
-      const auto [loss_alpha, saa_alpha] = grid[idx];
-      points[idx] =
-          EvalTradeoffPoint(model, pipeline, train, eval, loss_alpha,
-                            saa_alpha);
-    }
-      },
-      {.label = "bench.tradeoff_grid"});
+                                          const TimeSeries& eval) {
+  std::vector<CurvePoint> points;
+  for (const auto& [loss_alpha, saa_alpha] : TradeoffGridPoints(model)) {
+    points.push_back(
+        EvalTradeoffPoint(model, pipeline, train, eval, loss_alpha, saa_alpha));
+  }
   return ParetoFront(std::move(points));
-}
-
-size_t ThreadsOption(int argc, char** argv) {
-  for (int i = 1; i < argc; ++i) {
-    if (std::strcmp(argv[i], "--threads") == 0 && i + 1 < argc) {
-      return static_cast<size_t>(std::strtoul(argv[i + 1], nullptr, 10));
-    }
-    if (std::strncmp(argv[i], "--threads=", 10) == 0) {
-      return static_cast<size_t>(std::strtoul(argv[i] + 10, nullptr, 10));
-    }
-  }
-  if (const char* env = std::getenv("IPOOL_THREADS")) {
-    return static_cast<size_t>(std::strtoul(env, nullptr, 10));
-  }
-  return 0;
-}
-
-namespace {
-double Speedup(const ParallelBenchRecord& record) {
-  return record.parallel_seconds > 0.0
-             ? record.serial_seconds / record.parallel_seconds
-             : 0.0;
-}
-}  // namespace
-
-double QueueWaitOverRun(const std::vector<exec::TaskRecord>& records) {
-  double wait = 0.0;
-  double run = 0.0;
-  for (const exec::TaskRecord& r : records) {
-    if (r.kind != exec::TaskKind::kChunk) continue;
-    wait += r.queue_seconds();
-    run += r.run_seconds();
-  }
-  return run > 0.0 ? wait / run : 0.0;
-}
-
-void AppendParallelBench(const ParallelBenchRecord& record) {
-  const char* env = std::getenv("IPOOL_BENCH_JSON");
-  const char* path = env != nullptr ? env : "BENCH_parallel.json";
-  std::FILE* f = std::fopen(path, "a");
-  if (f == nullptr) {
-    std::fprintf(stderr, "cannot append to %s\n", path);
-    return;
-  }
-  const size_t hw = record.hw_threads != 0
-                        ? record.hw_threads
-                        : static_cast<size_t>(std::max(
-                              1u, std::thread::hardware_concurrency()));
-  std::fprintf(f,
-               "{\"benchmark\":\"%s\",\"threads\":%zu,"
-               "\"serial_seconds\":%.6f,\"parallel_seconds\":%.6f,"
-               "\"speedup\":%.3f,\"outputs_match\":%s,"
-               "\"chunking\":\"%s\",\"grain\":%zu,"
-               "\"queue_wait_over_run\":%.3f,\"hw_threads\":%zu}\n",
-               record.benchmark.c_str(), record.threads,
-               record.serial_seconds, record.parallel_seconds,
-               Speedup(record), record.outputs_match ? "true" : "false",
-               record.chunking.c_str(), record.grain,
-               record.queue_wait_over_run, hw);
-  std::fclose(f);
-}
-
-void PrintParallelSummary(const ParallelBenchRecord& record) {
-  std::printf("\n--- parallel pass (%zu threads) "
-              "-----------------------------------\n",
-              record.threads);
-  std::printf("serial %.3fs, parallel %.3fs -> %.2fx speedup; outputs %s\n",
-              record.serial_seconds, record.parallel_seconds, Speedup(record),
-              record.outputs_match ? "bit-identical to serial"
-                                   : "DIFFER FROM SERIAL (bug!)");
-  std::printf("chunking %s, grain %zu, queue_wait/run %.2f, hw threads %u\n",
-              record.chunking.c_str(), record.grain,
-              record.queue_wait_over_run, std::thread::hardware_concurrency());
 }
 
 TradeoffDataset MakeTradeoffDataset(uint64_t seed) {

@@ -15,8 +15,6 @@
 #include "common/status.h"
 #include "common/strings.h"
 #include "core/recommendation_engine.h"
-#include "exec/task_profiler.h"
-#include "exec/thread_pool.h"
 #include "obs/metrics.h"
 #include "solver/pool_model.h"
 #include "solver/saa_optimizer.h"
@@ -138,54 +136,11 @@ CurvePoint EvalTradeoffPoint(ModelKind model, PipelineKind pipeline,
 /// Evaluates a grid of (Eq 12 loss alpha', SAA alpha') combinations for one
 /// model and pipeline — the paper examines "various combinations of penalty
 /// values" — scoring each emitted schedule against `eval`. Returns the
-/// Pareto-dominant points. Grid points are independent full pipeline runs,
-/// so they fan out over `exec`'s pool when one is wired in; the front is
-/// bit-identical to the serial sweep.
+/// Pareto-dominant points.
 std::vector<CurvePoint> SweepTradeoffGrid(ModelKind model,
                                           PipelineKind pipeline,
                                           const TimeSeries& train,
-                                          const TimeSeries& eval,
-                                          const exec::ExecContext& exec = {});
-
-/// Threads requested for a bench binary's parallel pass: `--threads N` (or
-/// `--threads=N`) first, the IPOOL_THREADS env var as fallback. 0 (the
-/// default) keeps the bench serial-only.
-size_t ThreadsOption(int argc, char** argv);
-
-/// One serial-vs-parallel comparison of a bench binary: total wall-clock of
-/// the serial and the fanned-out pass plus whether the parallel pass
-/// reproduced the serial outputs exactly (the determinism contract). The
-/// decomposition fields make regressions diagnosable from the artifact
-/// alone: `chunking` / `grain` record how the fan-out was split,
-/// `queue_wait_over_run` is the profiler's chunk queue-wait over run-time
-/// ratio (≫1 means executors outnumber useful chunks — the PR-5 failure
-/// mode), and `hw_threads` is the machine's hardware concurrency (a
-/// `threads` > `hw_threads` run cannot exceed ~1× no matter the split).
-struct ParallelBenchRecord {
-  std::string benchmark;
-  size_t threads = 0;
-  double serial_seconds = 0.0;
-  double parallel_seconds = 0.0;
-  bool outputs_match = false;
-  std::string chunking = "dynamic";  // "dynamic", "static" or "cost"
-  size_t grain = 1;
-  double queue_wait_over_run = 0.0;
-  size_t hw_threads = 0;  // filled by AppendParallelBench when left 0
-};
-
-/// Sum of chunk queue-wait over sum of chunk run-time across `records`
-/// (TaskKind::kChunk only); 0 when nothing was recorded. Feed it a
-/// TaskProfiler attached around the parallel pass.
-double QueueWaitOverRun(const std::vector<exec::TaskRecord>& records);
-
-/// Appends the record (one JSON object per line, speedup included) to the
-/// file named by IPOOL_BENCH_JSON, default "BENCH_parallel.json" in the
-/// working directory.
-void AppendParallelBench(const ParallelBenchRecord& record);
-
-/// Prints the serial/parallel wall-clocks and speedup recorded above (the
-/// human-readable tail of a `--threads N` run).
-void PrintParallelSummary(const ParallelBenchRecord& record);
+                                          const TimeSeries& eval);
 
 /// Prints one line per obs histogram (count, p50/p95/p99, max in ms) plus
 /// counters — the per-phase breakdown of a bench run whose configs were

@@ -14,7 +14,7 @@
 #include "bench/bench_util.h"
 #include "forecast/forecaster.h"
 
-int main(int argc, char** argv) {
+int main() {
   using namespace ipool;
   using namespace ipool::bench;
   PrintHeader(
@@ -26,9 +26,6 @@ int main(int argc, char** argv) {
 
   const std::vector<ModelKind> models = {ModelKind::kBaseline, ModelKind::kSsa,
                                          ModelKind::kSsaPlus, ModelKind::kMwdn};
-  std::vector<std::vector<CurvePoint>> fronts;
-  std::vector<double> sweep_seconds;  // per model x pipeline, in fi order
-  WallTimer serial_timer;
   for (PipelineKind pipeline : {PipelineKind::k2Step, PipelineKind::kEndToEnd}) {
     std::printf("\n--- Figure 5%s: %s pipeline (Pareto-dominant points) ---\n",
                 pipeline == PipelineKind::k2Step ? "a" : "b",
@@ -36,10 +33,8 @@ int main(int argc, char** argv) {
     std::printf("%-10s %8s %8s %14s %12s %14s\n", "model", "loss-k",
                 "saa-a'", "avg wait(s)", "hit rate", "idle (h)");
     for (ModelKind model : models) {
-      WallTimer sweep_timer;
       auto front = SweepTradeoffGrid(model, pipeline, dataset.train,
                                      dataset.eval);
-      sweep_seconds.push_back(sweep_timer.Seconds());
       for (const CurvePoint& p : front) {
         std::printf("%-10s %8.2f %8.2f %14.2f %11.1f%% %14.2f\n",
                     ModelKindToString(model).c_str(), p.loss_alpha,
@@ -53,93 +48,7 @@ int main(int argc, char** argv) {
       }
       std::printf("%-10s  -> lowest reachable avg wait: %.2f s\n",
                   ModelKindToString(model).c_str(), min_wait);
-      fronts.push_back(std::move(front));
     }
-  }
-  const double serial_seconds = serial_timer.Seconds();
-
-  // Parallel pass: ONE flat fan-out over every (pipeline, model, grid point)
-  // of every sweep — instead of eight back-to-back small fan-outs whose
-  // barriers each strand executors — with per-point costs seeded from the
-  // measured serial sweep times (a mWDN point costs ~10x a baseline point).
-  // Points are then regrouped per sweep and fronts checked against serial.
-  const size_t threads = ThreadsOption(argc, argv);
-  if (threads > 0) {
-    struct FlatPoint {
-      PipelineKind pipeline;
-      ModelKind model;
-      double loss_alpha;
-      double saa_alpha;
-    };
-    std::vector<FlatPoint> flat;
-    std::vector<double> costs;
-    std::vector<size_t> sweep_sizes;
-    size_t fi = 0;
-    for (PipelineKind pipeline :
-         {PipelineKind::k2Step, PipelineKind::kEndToEnd}) {
-      for (ModelKind model : models) {
-        const auto grid = TradeoffGridPoints(model);
-        const double per_point =
-            sweep_seconds[fi++] / static_cast<double>(grid.size());
-        for (const auto& [loss_alpha, saa_alpha] : grid) {
-          flat.push_back({pipeline, model, loss_alpha, saa_alpha});
-          costs.push_back(per_point);
-        }
-        sweep_sizes.push_back(grid.size());
-      }
-    }
-
-    exec::ThreadPool pool(threads);
-    const exec::ExecContext exec{&pool};
-    exec::TaskProfiler profiler;
-    pool.AttachProfiler(&profiler);
-    WallTimer parallel_timer;
-    std::vector<CurvePoint> points(flat.size());
-    exec::ParallelFor(
-        exec, 0, flat.size(),
-        [&](size_t lo, size_t hi) {
-          for (size_t idx = lo; idx < hi; ++idx) {
-            const FlatPoint& p = flat[idx];
-            points[idx] =
-                EvalTradeoffPoint(p.model, p.pipeline, dataset.train,
-                                  dataset.eval, p.loss_alpha, p.saa_alpha);
-          }
-        },
-        {.label = "bench.fig5_points", .costs = costs.data()});
-    const double parallel_seconds = parallel_timer.Seconds();
-    pool.Wait();
-    pool.AttachProfiler(nullptr);
-
-    bool match = true;
-    size_t pos = 0;
-    for (size_t s = 0; s < sweep_sizes.size(); ++s) {
-      std::vector<CurvePoint> sweep_points(
-          points.begin() + static_cast<ptrdiff_t>(pos),
-          points.begin() + static_cast<ptrdiff_t>(pos + sweep_sizes[s]));
-      pos += sweep_sizes[s];
-      const auto front = ParetoFront(std::move(sweep_points));
-      const std::vector<CurvePoint>& serial_front = fronts[s];
-      match = match && front.size() == serial_front.size();
-      for (size_t i = 0; match && i < front.size(); ++i) {
-        match = front[i].loss_alpha == serial_front[i].loss_alpha &&
-                front[i].saa_alpha == serial_front[i].saa_alpha &&
-                front[i].metrics.avg_wait_seconds_capped ==
-                    serial_front[i].metrics.avg_wait_seconds_capped &&
-                front[i].metrics.idle_cluster_seconds ==
-                    serial_front[i].metrics.idle_cluster_seconds;
-      }
-    }
-    ParallelBenchRecord record;
-    record.benchmark = "fig5_pareto";
-    record.threads = threads;
-    record.serial_seconds = serial_seconds;
-    record.parallel_seconds = parallel_seconds;
-    record.outputs_match = match;
-    record.chunking = "cost";
-    record.grain = 1;
-    record.queue_wait_over_run = QueueWaitOverRun(profiler.Records());
-    PrintParallelSummary(record);
-    AppendParallelBench(record);
   }
   std::printf("\nReading the curves: at equal wait time, the ML rows should "
               "sit at lower idle\nhours than the baseline; SSA's lowest "

@@ -12,7 +12,7 @@
 #include "bench/bench_util.h"
 #include "forecast/forecaster.h"
 
-int main(int argc, char** argv) {
+int main() {
   using namespace ipool;
   using namespace ipool::bench;
   PrintHeader("Table 1: model comparison (MAE, lower is better)",
@@ -44,8 +44,7 @@ int main(int argc, char** argv) {
   params.alpha_prime = 0.5;  // symmetric: Table 1 measures pure accuracy
   params.seed = 7;
 
-  // Per-dataset train/truth windows, generated once and shared by the
-  // serial table pass and the fanned-out parallel pass.
+  // Per-dataset train/truth windows, generated once up front.
   struct Dataset {
     std::string label;
     TimeSeries train;
@@ -67,9 +66,7 @@ int main(int argc, char** argv) {
                         std::move(train), std::move(truth)});
   }
 
-  // One dataset x model cell: fit, forecast, score. Seeded training makes
-  // each cell a pure function of its inputs, so the parallel pass must
-  // reproduce the serial numbers bit for bit.
+  // One dataset x model cell: fit, forecast, score.
   auto eval_cell = [&](size_t di, size_t mi) {
     const Dataset& d = prepared[di];
     auto forecaster = CheckOk(CreateForecaster(models[mi], params), "create");
@@ -85,26 +82,18 @@ int main(int argc, char** argv) {
   std::vector<std::string> row_labels;
   std::vector<std::vector<double>> mae_rows;
   std::vector<std::vector<double>> rmse_rows;
-  // Measured per-cell serial times seed the parallel pass's cost model: the
-  // deep-model cells cost ~10x the SSA cells, and cost-weighted chunks keep
-  // that skew from serializing the fan-out behind one hot chunk.
-  std::vector<double> cell_costs(prepared.size() * models.size(), 0.0);
-  WallTimer serial_timer;
   for (size_t di = 0; di < prepared.size(); ++di) {
     row_labels.push_back(prepared[di].label);
     mae_rows.emplace_back();
     rmse_rows.emplace_back();
     for (size_t mi = 0; mi < models.size(); ++mi) {
-      WallTimer cell_timer;
       const auto [mae, rmse] = eval_cell(di, mi);
-      cell_costs[di * models.size() + mi] = cell_timer.Seconds();
       total_mae[models[mi]] += mae;
       total_rmse[models[mi]] += rmse;
       mae_rows.back().push_back(mae);
       rmse_rows.back().push_back(rmse);
     }
   }
-  const double serial_seconds = serial_timer.Seconds();
 
   auto print_table = [&](const char* metric,
                          const std::vector<std::vector<double>>& rows,
@@ -128,43 +117,6 @@ int main(int argc, char** argv) {
   print_table("MAE (lower is better):", mae_rows, total_mae);
   print_table("RMSE (lower is better):", rmse_rows, total_rmse);
 
-  // Parallel pass: all dataset x model cells fanned out over the pool,
-  // scores checked for exact equality against the serial table.
-  const size_t threads = ThreadsOption(argc, argv);
-  if (threads > 0) {
-    exec::ThreadPool pool(threads);
-    const exec::ExecContext exec{&pool};
-    exec::TaskProfiler profiler;
-    pool.AttachProfiler(&profiler);
-    WallTimer parallel_timer;
-    const auto redo = exec::ParallelMap(
-        exec, prepared.size() * models.size(),
-        [&](size_t cell) {
-          return eval_cell(cell / models.size(), cell % models.size());
-        },
-        {.label = "bench.table1_cells", .costs = cell_costs.data()});
-    const double parallel_seconds = parallel_timer.Seconds();
-    pool.Wait();
-    pool.AttachProfiler(nullptr);
-    bool match = true;
-    for (size_t cell = 0; cell < redo.size(); ++cell) {
-      const size_t di = cell / models.size();
-      const size_t mi = cell % models.size();
-      match = match && redo[cell].first == mae_rows[di][mi] &&
-              redo[cell].second == rmse_rows[di][mi];
-    }
-    ParallelBenchRecord record;
-    record.benchmark = "table1_model_comparison";
-    record.threads = threads;
-    record.serial_seconds = serial_seconds;
-    record.parallel_seconds = parallel_seconds;
-    record.outputs_match = match;
-    record.chunking = "cost";
-    record.grain = 1;
-    record.queue_wait_over_run = QueueWaitOverRun(profiler.Records());
-    PrintParallelSummary(record);
-    AppendParallelBench(record);
-  }
   std::printf("\nExpected orderings: (1) trainable models (mWDN/TST/IncpT/SSA+)"
               " <= plain SSA on\naverage; (2) Small-node (busiest) datasets "
               "have the largest MAE, Large the smallest;\n(3) West US 2 "

@@ -41,8 +41,7 @@
 // determinism tests assert warm == cold):
 //   * rung-score memoization keyed by (pool, candidate, rung geometry,
 //     content hash of the telemetry slice): a re-tune over unchanged
-//     telemetry skips the fit entirely (this is the warm >= 2x path gated
-//     by tools/check_tuning_bench.sh);
+//     telemetry skips the fit entirely;
 //   * per-(pool, model, window, rung) SSA warm state (ForecastWarmState):
 //     when the telemetry DID slide, SSA-family refits reuse the previous
 //     Gram/basis (the PR-3 fast path) instead of refitting cold.

@@ -52,14 +52,22 @@ foreach(needle
   endif()
 endforeach()
 
-# Unknown commands and missing flags must fail loudly.
-execute_process(COMMAND ${CLI} frobnicate RESULT_VARIABLE code
-                OUTPUT_QUIET ERROR_QUIET)
-if(code EQUAL 0)
-  message(FATAL_ERROR "unknown command should have failed")
-endif()
-execute_process(COMMAND ${CLI} generate RESULT_VARIABLE code
-                OUTPUT_QUIET ERROR_QUIET)
-if(code EQUAL 0)
-  message(FATAL_ERROR "generate without --out should have failed")
-endif()
+# Unknown commands, missing flags and malformed numbers must fail loudly,
+# naming what was wrong. Integer-valued flags reject fractions, signs and
+# out-of-range values instead of truncating or wrapping them.
+function(expect_cli_error needle)
+  execute_process(COMMAND ${CLI} ${ARGN} RESULT_VARIABLE code
+                  OUTPUT_QUIET ERROR_VARIABLE err)
+  string(FIND "${err}" "${needle}" pos)
+  if(code EQUAL 0 OR pos EQUAL -1)
+    message(FATAL_ERROR "ipool_cli ${ARGN} should have failed naming "
+                        "'${needle}' (exit ${code}): ${err}")
+  endif()
+endfunction()
+set(bad_demand ${WORKDIR}/cli_bad_demand.csv)
+expect_cli_error("unknown command" frobnicate)
+expect_cli_error("--out" generate)
+expect_cli_error("--seed" generate --days 0.1 --seed abc --out ${bad_demand})
+expect_cli_error("--seed" generate --days 0.1 --seed 7.9 --out ${bad_demand})
+expect_cli_error("--seed" generate --days 0.1 --seed -1 --out ${bad_demand})
+expect_cli_error("--port" get --port 70000)

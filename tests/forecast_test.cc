@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cmath>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "common/rng.h"
@@ -361,27 +362,60 @@ void ExpectForecastsClose(const std::vector<double>& a,
   }
 }
 
+// Strong diurnal + hourly demand with light noise: fig6_training_time's
+// periodic series, whose well-gapped low-rank head is the regime where the
+// subspace path pays off at large windows.
+TimeSeries PeriodicDemandSeries(size_t n, uint64_t seed) {
+  Rng rng(seed);
+  std::vector<double> vals(n);
+  for (size_t i = 0; i < n; ++i) {
+    const double t = static_cast<double>(i);
+    vals[i] = 400.0 + 180.0 * std::sin(2.0 * M_PI * t / 2880.0) +
+              60.0 * std::sin(2.0 * M_PI * t / 120.0) + rng.Normal(0.0, 2.0);
+  }
+  return TimeSeries(0.0, 30.0, std::move(vals));
+}
+
 TEST(SsaFastPathTest, SubspaceMatchesJacobiForecasts) {
-  TimeSeries ts = NoisySineSeries(512, 47);
-  SsaForecaster::Options options;
-  options.window = 96;
-  SsaForecaster fast(options);
-  ASSERT_TRUE(fast.Fit(ts).ok());
-  EXPECT_EQ(fast.fit_path(), SsaForecaster::FitPath::kSubspace);
-  EXPECT_GT(fast.subspace_iterations(), 0u);
+  // Each input is fitted on all but its last `shift` bins, then refit on the
+  // window slid forward by `shift`: a noisy sine at L = 96 and fig6's
+  // geometry (periodic demand, n = 1024, L = 256).
+  const size_t shift = 2;
+  const std::vector<std::pair<TimeSeries, size_t>> inputs = {
+      {NoisySineSeries(512 + shift, 47), 96},
+      {PeriodicDemandSeries(1024 + shift, 9), 256}};
+  for (const auto& [series, window] : inputs) {
+    SCOPED_TRACE("window " + std::to_string(window));
+    const TimeSeries ts = series.Slice(0, series.size() - shift);
+    SsaForecaster::Options options;
+    options.window = window;
+    SsaForecaster fast(options);
+    ASSERT_TRUE(fast.Fit(ts).ok());
+    EXPECT_EQ(fast.fit_path(), SsaForecaster::FitPath::kSubspace);
+    EXPECT_GT(fast.subspace_iterations(), 0u);
 
-  SsaForecaster::Options reference_options = options;
-  reference_options.force_jacobi = true;
-  SsaForecaster reference(reference_options);
-  ASSERT_TRUE(reference.Fit(ts).ok());
-  EXPECT_EQ(reference.fit_path(), SsaForecaster::FitPath::kJacobi);
+    SsaForecaster::Options reference_options = options;
+    reference_options.force_jacobi = true;
+    SsaForecaster reference(reference_options);
+    ASSERT_TRUE(reference.Fit(ts).ok());
+    EXPECT_EQ(reference.fit_path(), SsaForecaster::FitPath::kJacobi);
 
-  EXPECT_EQ(fast.chosen_rank(), reference.chosen_rank());
-  ExpectForecastsClose(*fast.Forecast(48), *reference.Forecast(48), 1e-6);
-  // The in-sample reconstruction agrees too.
-  ASSERT_EQ(fast.reconstruction().size(), reference.reconstruction().size());
-  for (size_t i = 0; i < fast.reconstruction().size(); ++i) {
-    EXPECT_NEAR(fast.reconstruction()[i], reference.reconstruction()[i], 1e-6);
+    EXPECT_EQ(fast.chosen_rank(), reference.chosen_rank());
+    ExpectForecastsClose(*fast.Forecast(120), *reference.Forecast(120), 1e-6);
+    // The in-sample reconstruction agrees too.
+    ASSERT_EQ(fast.reconstruction().size(),
+              reference.reconstruction().size());
+    for (size_t i = 0; i < fast.reconstruction().size(); ++i) {
+      EXPECT_NEAR(fast.reconstruction()[i], reference.reconstruction()[i],
+                  1e-6);
+    }
+
+    // The slid window reuses the Gram and the basis and stays on the fast
+    // path.
+    ASSERT_TRUE(fast.Refit(series.Slice(shift, series.size())).ok());
+    EXPECT_TRUE(fast.warm_gram_hit());
+    EXPECT_TRUE(fast.warm_basis_hit());
+    EXPECT_EQ(fast.fit_path(), SsaForecaster::FitPath::kSubspace);
   }
 }
 

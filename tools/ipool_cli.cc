@@ -36,11 +36,6 @@
 //                       [--interval 30] [--count N --value V |
 //                       --values v0,v1,...]
 //   ipool_cli trace     --port 7070 [--limit 256]
-//   ipool_cli profile   --bench table1|fig5 [--threads 4] [--repeat 3]
-//                       [--days 1] [--epochs 2] [--max-overhead-pct 3]
-//                       [--overhead-out BENCH_obs_overhead.json]
-//                       [--tasks-out tasks.jsonl] [--trace-out FILE]
-//                       [--metrics-out FILE]
 //
 // `serve` hosts the control plane over loopback TCP (the ipool::net framed
 // binary protocol): it fits a recommendation for the given profile/demand,
@@ -73,17 +68,11 @@
 // the cross-process view of one GetRecommendation. `trace` dumps the
 // server's recent spans (JSONL) without issuing any other request.
 //
-// `profile` replays a bench workload (table1: 6 datasets x 5 forecast
-// models; fig5: tradeoff-grid pipeline sweeps) on an N-thread pool,
-// alternating untraced and traced+profiled parallel passes (min over
-// --repeat repeats of each), prints the per-task-label utilization
-// breakdown from the exec-pool TaskProfiler, reconciles the task timeline
-// against wall clock, and gates on the tracing+profiling overhead
-// (--max-overhead-pct, <= 0 disables; the verdict lands in
-// --overhead-out as JSON).
-//
 // Unknown flags are rejected with an error naming the command's accepted
-// flags — a typo must not silently fall back to a default.
+// flags — a typo must not silently fall back to a default. For the same
+// reason a numeric flag must parse whole, and an integer-valued one (a
+// count, size, seed or port) must be a whole number in range: "abc", "7.9",
+// "-1" and "1e30" are errors, never a truncated or wrapped value.
 //
 // `--threads N` (recommend, sweep, loop; default 0 = serial) runs the
 // command's independent work — deep-model training kernels, per-alpha'
@@ -110,6 +99,7 @@
 #include <csignal>
 #include <cstdio>
 #include <cstdlib>
+#include <limits>
 #include <map>
 #include <memory>
 #include <string>
@@ -122,7 +112,6 @@
 #include "core/recommendation_engine.h"
 #include "live/live_control_plane.h"
 #include "live/replay.h"
-#include "exec/task_profiler.h"
 #include "exec/thread_pool.h"
 #include "forecast/forecaster.h"
 #include "net/client.h"
@@ -197,9 +186,6 @@ const std::map<std::string, std::vector<std::string>>& CommandFlags() {
         "values", "timeout", "retries"}},
       {"scrape", {"host", "port", "timeout", "retries"}},
       {"trace", {"host", "port", "timeout", "retries", "limit"}},
-      {"profile",
-       {"bench", "threads", "repeat", "days", "epochs", "max-overhead-pct",
-        "overhead-out", "tasks-out", "trace-out", "metrics-out"}},
   };
   return kFlags;
 }
@@ -235,7 +221,27 @@ std::string FlagOr(const std::map<std::string, std::string>& flags,
 double NumFlag(const std::map<std::string, std::string>& flags,
                const std::string& key, double fallback) {
   auto it = flags.find(key);
-  return it == flags.end() ? fallback : std::atof(it->second.c_str());
+  if (it == flags.end()) return fallback;
+  return DieOnError(ParseDouble(it->second), ("--" + key).c_str());
+}
+
+// The one parser for integer-valued input: a whole number in [0, max],
+// checked before any cast so nothing is truncated, wrapped or undefined.
+uint64_t ParseCount(const std::string& token, const std::string& what,
+                    uint64_t max) {
+  const int64_t value = DieOnError(ParseInt64(token), what.c_str());
+  if (value < 0 || static_cast<uint64_t>(value) > max) {
+    Die(StrFormat("%s must be in [0, %llu], got %s", what.c_str(),
+                  static_cast<unsigned long long>(max), token.c_str()));
+  }
+  return static_cast<uint64_t>(value);
+}
+
+uint64_t CountFlag(const std::map<std::string, std::string>& flags,
+                   const std::string& key, uint64_t fallback,
+                   uint64_t max = std::numeric_limits<int64_t>::max()) {
+  auto it = flags.find(key);
+  return it == flags.end() ? fallback : ParseCount(it->second, "--" + key, max);
 }
 
 std::string RequiredFlag(const std::map<std::string, std::string>& flags,
@@ -290,7 +296,7 @@ ModelKind ModelByName(const std::string& name) {
 // --threads N: the command's shared thread pool, null (serial) by default.
 std::unique_ptr<exec::ThreadPool> PoolFromFlags(
     const std::map<std::string, std::string>& flags) {
-  const size_t n = static_cast<size_t>(NumFlag(flags, "threads", 0));
+  const size_t n = CountFlag(flags, "threads", 0);
   return n > 0 ? std::make_unique<exec::ThreadPool>(n) : nullptr;
 }
 
@@ -362,7 +368,7 @@ void PrintMetrics(const PoolMetrics& metrics) {
 int CmdGenerate(const std::map<std::string, std::string>& flags) {
   WorkloadConfig config = ProfileByName(
       FlagOr(flags, "profile", "east-medium"),
-      static_cast<uint64_t>(NumFlag(flags, "seed", 7)));
+      CountFlag(flags, "seed", 7));
   config.duration_days = NumFlag(flags, "days", 2.0);
   auto generator = DieOnError(DemandGenerator::Create(config), "generate");
   TimeSeries series = generator.GenerateBinned();
@@ -378,16 +384,15 @@ int CmdRecommend(const std::map<std::string, std::string>& flags) {
       LoadTimeSeriesCsv(RequiredFlag(flags, "demand")), "load demand");
   PipelineConfig config;
   config.model = ModelByName(FlagOr(flags, "model", "ssa+"));
-  config.forecast.window = static_cast<size_t>(NumFlag(flags, "window", 96));
-  config.forecast.horizon = static_cast<size_t>(NumFlag(flags, "horizon", 48));
+  config.forecast.window = CountFlag(flags, "window", 96);
+  config.forecast.horizon = CountFlag(flags, "horizon", 48);
   config.forecast.alpha_prime = NumFlag(flags, "loss-alpha", 0.9);
   config.saa.alpha_prime = NumFlag(flags, "alpha", 0.3);
-  config.saa.pool.tau_bins = static_cast<size_t>(NumFlag(flags, "tau-bins", 3));
+  config.saa.pool.tau_bins = CountFlag(flags, "tau-bins", 3);
   config.saa.pool.max_pool_size =
-      static_cast<int64_t>(NumFlag(flags, "max-pool", 500));
-  config.recommendation_bins = static_cast<size_t>(NumFlag(flags, "bins", 120));
-  config.smoothing_factor_bins =
-      static_cast<size_t>(NumFlag(flags, "smooth-sf", 0));
+      static_cast<int64_t>(CountFlag(flags, "max-pool", 500));
+  config.recommendation_bins = CountFlag(flags, "bins", 120);
+  config.smoothing_factor_bins = CountFlag(flags, "smooth-sf", 0);
   ObsBundle obs;
   config.obs = obs.Context();
   const auto thread_pool = PoolFromFlags(flags);
@@ -423,7 +428,7 @@ int CmdEvaluate(const std::map<std::string, std::string>& flags) {
                   schedule.pool_size_per_bin.size(), demand.size()));
   }
   PoolModelConfig pool;
-  pool.tau_bins = static_cast<size_t>(NumFlag(flags, "tau-bins", 3));
+  pool.tau_bins = CountFlag(flags, "tau-bins", 3);
   pool.max_pool_size = 1'000'000;  // the schedule is taken as-is
   auto metrics = DieOnError(
       EvaluateSchedule(demand, schedule.pool_size_per_bin, pool), "evaluate");
@@ -441,12 +446,12 @@ int CmdSimulate(const std::map<std::string, std::string>& flags) {
   }
   // Scatter the binned counts into arrival events (deterministic seed).
   std::vector<double> events =
-      ScatterEvents(demand, static_cast<uint64_t>(NumFlag(flags, "seed", 1)));
+      ScatterEvents(demand, CountFlag(flags, "seed", 1));
 
   SimConfig config;
   config.creation_latency_mean_seconds = NumFlag(flags, "latency", 90.0);
   config.creation_latency_cv = NumFlag(flags, "latency-cv", 0.2);
-  config.seed = static_cast<uint64_t>(NumFlag(flags, "seed", 1));
+  config.seed = CountFlag(flags, "seed", 1);
   ObsBundle obs;
   config.obs = obs.Context();
   auto simulator = DieOnError(PoolSimulator::Create(config), "sim config");
@@ -475,8 +480,8 @@ int CmdSweep(const std::map<std::string, std::string>& flags) {
   TimeSeries demand = DieOnError(
       LoadTimeSeriesCsv(RequiredFlag(flags, "demand")), "load demand");
   PoolModelConfig pool;
-  pool.tau_bins = static_cast<size_t>(NumFlag(flags, "tau-bins", 3));
-  pool.max_pool_size = static_cast<int64_t>(NumFlag(flags, "max-pool", 500));
+  pool.tau_bins = CountFlag(flags, "tau-bins", 3);
+  pool.max_pool_size = static_cast<int64_t>(CountFlag(flags, "max-pool", 500));
   const std::vector<double> alphas = {0.95, 0.8, 0.6, 0.4, 0.2,
                                       0.1,  0.05, 0.02, 0.005};
   const auto thread_pool = PoolFromFlags(flags);
@@ -531,8 +536,8 @@ void ApplyTunerGridFlags(const std::map<std::string, std::string>& flags,
   if (auto it = flags.find(windows_flag); it != flags.end()) {
     tuner->windows.clear();
     for (const std::string& item : SplitCsv(it->second)) {
-      tuner->windows.push_back(static_cast<size_t>(
-          DieOnError(ParseDouble(item), windows_flag.c_str())));
+      tuner->windows.push_back(ParseCount(
+          item, "--" + windows_flag, std::numeric_limits<int64_t>::max()));
     }
   }
 }
@@ -547,9 +552,9 @@ double MonotonicSeconds() {
 // demand trace, printed as the winner plus the exact `tuning.<pool>`
 // document a live tune would publish. --repeat N re-tunes over the same
 // trace, so the second run exercises the memo cache (warm) and the command
-// reports the speedup — a quick local read on the warm >= 2x bench gate.
+// reports the speedup.
 int CmdTune(const std::map<std::string, std::string>& flags) {
-  const uint64_t seed = static_cast<uint64_t>(NumFlag(flags, "seed", 7));
+  const uint64_t seed = CountFlag(flags, "seed", 7);
   const std::string profile = FlagOr(flags, "profile", "regime-shift");
   TimeSeries demand = [&] {
     if (flags.count("demand") != 0) {
@@ -564,26 +569,26 @@ int CmdTune(const std::map<std::string, std::string>& flags) {
 
   autotune::FleetTunerConfig config;
   ApplyTunerGridFlags(flags, "models", "alphas", "windows", &config);
-  config.rungs = static_cast<size_t>(NumFlag(flags, "rungs", 3));
-  config.eta = static_cast<size_t>(NumFlag(flags, "eta", 3));
-  config.eval_bins = static_cast<size_t>(NumFlag(flags, "eval-bins", 120));
-  config.min_train_bins =
-      static_cast<size_t>(NumFlag(flags, "min-train", 32));
+  config.rungs = CountFlag(flags, "rungs", 3);
+  config.eta = CountFlag(flags, "eta", 3);
+  config.eval_bins = CountFlag(flags, "eval-bins", 120);
+  config.min_train_bins = CountFlag(flags, "min-train", 32);
   config.hysteresis_pct = NumFlag(flags, "hysteresis", 5.0);
   config.target_wait_seconds = NumFlag(flags, "target-wait", 1.0);
-  config.refine_steps =
-      static_cast<size_t>(NumFlag(flags, "refine-steps", 3));
+  config.refine_steps = CountFlag(flags, "refine-steps", 3);
   config.idle_cost_weight = NumFlag(flags, "idle-weight", 2e-4);
-  config.pool.tau_bins = static_cast<size_t>(NumFlag(flags, "tau-bins", 3));
+  config.pool.tau_bins = CountFlag(flags, "tau-bins", 3);
   config.pool.max_pool_size =
-      static_cast<int64_t>(NumFlag(flags, "max-pool", 500));
+      static_cast<int64_t>(CountFlag(flags, "max-pool", 500));
   ObsBundle obs;
   config.obs = obs.Context();
   const auto thread_pool = PoolFromFlags(flags);
   config.exec.pool = thread_pool.get();
   auto tuner = DieOnError(autotune::FleetTuner::Create(config), "tune config");
 
-  const int repeat = std::max(1, static_cast<int>(NumFlag(flags, "repeat", 1)));
+  const int repeat = std::max(
+      1, static_cast<int>(CountFlag(flags, "repeat", 1,
+                                    std::numeric_limits<int>::max())));
   autotune::PoolTuneResult result;
   double cold_seconds = 0.0;
   double warm_seconds = 0.0;
@@ -623,7 +628,7 @@ int CmdTune(const std::map<std::string, std::string>& flags) {
 }
 
 int CmdLoop(const std::map<std::string, std::string>& flags) {
-  const uint64_t seed = static_cast<uint64_t>(NumFlag(flags, "seed", 7));
+  const uint64_t seed = CountFlag(flags, "seed", 7);
   TimeSeries demand = [&] {
     if (flags.count("demand") != 0) {
       return DieOnError(LoadTimeSeriesCsv(flags.at("demand")), "load demand");
@@ -643,24 +648,21 @@ int CmdLoop(const std::map<std::string, std::string>& flags) {
   PipelineConfig pipeline;
   pipeline.obs = obs.Context();
   pipeline.model = ModelByName(FlagOr(flags, "model", "ssa+"));
-  pipeline.forecast.window = static_cast<size_t>(NumFlag(flags, "window", 96));
-  pipeline.forecast.horizon =
-      static_cast<size_t>(NumFlag(flags, "horizon", 48));
+  pipeline.forecast.window = CountFlag(flags, "window", 96);
+  pipeline.forecast.horizon = CountFlag(flags, "horizon", 48);
   pipeline.forecast.alpha_prime = NumFlag(flags, "loss-alpha", 0.9);
   pipeline.saa.alpha_prime = NumFlag(flags, "alpha", 0.3);
-  pipeline.saa.pool.tau_bins =
-      static_cast<size_t>(NumFlag(flags, "tau-bins", 3));
+  pipeline.saa.pool.tau_bins = CountFlag(flags, "tau-bins", 3);
   pipeline.saa.pool.max_pool_size =
-      static_cast<int64_t>(NumFlag(flags, "max-pool", 500));
+      static_cast<int64_t>(CountFlag(flags, "max-pool", 500));
   const auto thread_pool = PoolFromFlags(flags);
   pipeline.forecast.exec.pool = thread_pool.get();
   auto engine = DieOnError(RecommendationEngine::Create(pipeline), "config");
 
   live::ReplayConfig config;
   config.run_interval_seconds = NumFlag(flags, "run-interval", 1800.0);
-  config.history_bins = static_cast<size_t>(
-      NumFlag(flags, "history-bins",
-              static_cast<double>(std::max<size_t>(8, demand.size() / 2))));
+  config.history_bins = CountFlag(flags, "history-bins",
+                                  std::max<size_t>(8, demand.size() / 2));
   config.sim.creation_latency_mean_seconds = NumFlag(flags, "latency", 90.0);
   config.sim.creation_latency_cv = NumFlag(flags, "latency-cv", 0.2);
   config.sim.seed = seed;
@@ -715,7 +717,7 @@ volatile std::sig_atomic_t g_serve_stop = 0;
 void HandleStopSignal(int) { g_serve_stop = 1; }
 
 int CmdServe(const std::map<std::string, std::string>& flags) {
-  const uint64_t seed = static_cast<uint64_t>(NumFlag(flags, "seed", 7));
+  const uint64_t seed = CountFlag(flags, "seed", 7);
   const std::string profile = FlagOr(flags, "profile", "east-medium");
 
   // Fit a recommendation for the profile (or a supplied trace) and publish
@@ -731,17 +733,14 @@ int CmdServe(const std::map<std::string, std::string>& flags) {
   }();
   PipelineConfig pipeline;
   pipeline.model = ModelByName(FlagOr(flags, "model", "ssa+"));
-  pipeline.forecast.window = static_cast<size_t>(NumFlag(flags, "window", 96));
-  pipeline.forecast.horizon =
-      static_cast<size_t>(NumFlag(flags, "horizon", 48));
+  pipeline.forecast.window = CountFlag(flags, "window", 96);
+  pipeline.forecast.horizon = CountFlag(flags, "horizon", 48);
   pipeline.forecast.alpha_prime = NumFlag(flags, "loss-alpha", 0.9);
   pipeline.saa.alpha_prime = NumFlag(flags, "alpha", 0.3);
-  pipeline.saa.pool.tau_bins =
-      static_cast<size_t>(NumFlag(flags, "tau-bins", 3));
+  pipeline.saa.pool.tau_bins = CountFlag(flags, "tau-bins", 3);
   pipeline.saa.pool.max_pool_size =
-      static_cast<int64_t>(NumFlag(flags, "max-pool", 500));
-  pipeline.recommendation_bins =
-      static_cast<size_t>(NumFlag(flags, "bins", 120));
+      static_cast<int64_t>(CountFlag(flags, "max-pool", 500));
+  pipeline.recommendation_bins = CountFlag(flags, "bins", 120);
   obs::MetricsRegistry registry;
   pipeline.obs = ObsContext{&registry, nullptr};
   auto engine = DieOnError(RecommendationEngine::Create(pipeline), "config");
@@ -752,12 +751,12 @@ int CmdServe(const std::map<std::string, std::string>& flags) {
   stored.start_time = demand.TimeAt(demand.size() - 1) + demand.interval();
   stored.interval_seconds = demand.interval();
   const std::string key = FlagOr(flags, "key", profile);
-  const size_t shards = static_cast<size_t>(NumFlag(flags, "shards", 16));
+  const size_t shards = CountFlag(flags, "shards", 16);
   ShardedDocumentStore documents(shards);
   documents.Put(key, SerializeRecommendation(stored), stored.start_time);
   ShardedTelemetryStore telemetry(shards);
 
-  const size_t threads = static_cast<size_t>(NumFlag(flags, "threads", 4));
+  const size_t threads = CountFlag(flags, "threads", 4);
   std::unique_ptr<exec::ThreadPool> pool =
       threads > 0 ? std::make_unique<exec::ThreadPool>(threads) : nullptr;
 
@@ -780,10 +779,8 @@ int CmdServe(const std::map<std::string, std::string>& flags) {
     live::LiveControlPlaneConfig live_config;
     live_config.tick_interval_seconds = loop_interval;
     live_config.bin_interval_seconds = demand.interval();
-    live_config.history_bins = static_cast<size_t>(
-        NumFlag(flags, "history-bins", 480));
-    live_config.min_history_points =
-        static_cast<size_t>(NumFlag(flags, "min-history", 64));
+    live_config.history_bins = CountFlag(flags, "history-bins", 480);
+    live_config.min_history_points = CountFlag(flags, "min-history", 64);
     live_config.warm_refit = NumFlag(flags, "warm-refit", 1) != 0;
     live_config.exec.pool = pool.get();
     live_config.obs = ObsContext{&registry, &tracer};
@@ -794,14 +791,12 @@ int CmdServe(const std::map<std::string, std::string>& flags) {
     if (live_config.tune_interval_seconds > 0.0) {
       ApplyTunerGridFlags(flags, "tune-models", "tune-alphas", "tune-windows",
                           &live_config.tuner);
-      live_config.tuner.eval_bins =
-          static_cast<size_t>(NumFlag(flags, "tune-eval-bins", 120));
+      live_config.tuner.eval_bins = CountFlag(flags, "tune-eval-bins", 120);
       // Rung-0 training slices are clamped up to this floor; SSA-family
       // windows clamp to half the slice, so the floor must be at least 2x
       // the largest window in the grid or the cheap rungs cut those
       // candidates on a handicapped fit.
-      live_config.tuner.min_train_bins =
-          static_cast<size_t>(NumFlag(flags, "tune-min-train", 32));
+      live_config.tuner.min_train_bins = CountFlag(flags, "tune-min-train", 32);
       live_config.tuner.hysteresis_pct = NumFlag(flags, "tune-hysteresis", 5.0);
     }
     live_plane = DieOnError(
@@ -811,10 +806,10 @@ int CmdServe(const std::map<std::string, std::string>& flags) {
     router.set_live(live_plane.get());
   }
   net::ServerConfig server_config;
-  server_config.port = static_cast<uint16_t>(NumFlag(flags, "port", 7070));
+  server_config.port =
+      static_cast<uint16_t>(CountFlag(flags, "port", 7070, 65535));
   server_config.pool = pool.get();
-  server_config.max_inflight_per_conn =
-      static_cast<size_t>(NumFlag(flags, "max-inflight", 64));
+  server_config.max_inflight_per_conn = CountFlag(flags, "max-inflight", 64);
   server_config.metrics = &registry;
   server_config.tracer = &tracer;
   const double drain_timeout = NumFlag(flags, "drain-timeout", 5.0);
@@ -904,9 +899,12 @@ net::ClientConfig ClientFromFlags(
     const std::map<std::string, std::string>& flags) {
   net::ClientConfig config;
   config.host = FlagOr(flags, "host", "127.0.0.1");
-  config.port = static_cast<uint16_t>(NumFlag(flags, "port", 7070));
+  config.port = static_cast<uint16_t>(CountFlag(flags, "port", 7070, 65535));
   config.request_timeout_seconds = NumFlag(flags, "timeout", 2.0);
-  config.max_attempts = static_cast<int>(NumFlag(flags, "retries", 3)) + 1;
+  config.max_attempts = static_cast<int>(CountFlag(
+                            flags, "retries", 3,
+                            std::numeric_limits<int>::max() - 1)) +
+                        1;
   // The library default seed is deterministic (tests reproduce
   // byte-for-byte), but each CLI one-shot is a distinct caller and must
   // stamp distinct trace ids — otherwise every `get` in a script lands its
@@ -960,7 +958,7 @@ int CmdPublish(const std::map<std::string, std::string>& flags) {
       item.clear();
     }
   } else {
-    const size_t count = static_cast<size_t>(NumFlag(flags, "count", 1));
+    const size_t count = CountFlag(flags, "count", 1);
     values.assign(count, NumFlag(flags, "value", 1.0));
   }
   if (values.empty()) Die("publish: no points");
@@ -1040,8 +1038,7 @@ int CmdGet(const std::map<std::string, std::string>& flags) {
 
 int CmdTrace(const std::map<std::string, std::string>& flags) {
   net::Client client(ClientFromFlags(flags));
-  auto text =
-      client.FetchTrace(static_cast<size_t>(NumFlag(flags, "limit", 0)));
+  auto text = client.FetchTrace(CountFlag(flags, "limit", 0));
   if (!text.ok()) Die("trace: " + text.status().ToString());
   std::fwrite(text->data(), 1, text->size(), stdout);
   return 0;
@@ -1055,329 +1052,13 @@ int CmdScrape(const std::map<std::string, std::string>& flags) {
   return 0;
 }
 
-// One bench workload as a pure function of (exec, obs): returns a checksum
-// over its outputs so every pass's result can be compared bit-for-bit
-// against the serial reference (the determinism contract).
-using ProfilePass =
-    std::function<double(const exec::ExecContext&, const ObsContext&)>;
-
-// table1: the 6-dataset x 5-model forecast-accuracy matrix, one cell per
-// pool task (mirrors bench/table1_model_comparison.cpp at reduced scale).
-ProfilePass MakeTable1Pass(double days, size_t epochs) {
-  struct Dataset {
-    TimeSeries train;
-    std::vector<double> truth;
-  };
-  auto prepared = std::make_shared<std::vector<Dataset>>();
-  const std::vector<std::pair<Region, NodeSize>> datasets = {
-      {Region::kWestUs2, NodeSize::kSmall},
-      {Region::kEastUs2, NodeSize::kSmall},
-      {Region::kWestUs2, NodeSize::kMedium},
-      {Region::kEastUs2, NodeSize::kMedium},
-      {Region::kWestUs2, NodeSize::kLarge},
-      {Region::kEastUs2, NodeSize::kLarge},
-  };
-  uint64_t seed = 100;
-  for (const auto& [region, size] : datasets) {
-    WorkloadConfig workload = RegionNodeProfile(region, size, seed++);
-    workload.duration_days = days;
-    auto generator = DieOnError(DemandGenerator::Create(workload), "workload");
-    TimeSeries all = generator.GenerateBinned();
-    auto [train, test] = all.Split(0.8);
-    const size_t horizon = std::min<size_t>(120, test.size());
-    std::vector<double> truth(
-        test.values().begin(),
-        test.values().begin() + static_cast<ptrdiff_t>(horizon));
-    prepared->push_back({std::move(train), std::move(truth)});
-  }
-  auto models = std::make_shared<std::vector<ModelKind>>(
-      std::vector<ModelKind>{ModelKind::kSsaPlus, ModelKind::kSsa,
-                             ModelKind::kMwdn, ModelKind::kTst,
-                             ModelKind::kInceptionTime});
-  ForecastParams params;
-  params.window = 96;
-  params.horizon = 48;
-  params.epochs = epochs;
-  params.stride = 32;
-  params.batch_size = 8;
-  params.alpha_prime = 0.5;
-  params.seed = 7;
-  return [prepared, models, params](const exec::ExecContext& exec,
-                                    const ObsContext& obs) {
-    const auto maes = exec::ParallelMap(
-        exec, prepared->size() * models->size(),
-        [&](size_t cell) {
-          const Dataset& d = (*prepared)[cell / models->size()];
-          ForecastParams p = params;
-          p.obs = obs;
-          auto forecaster = DieOnError(
-              CreateForecaster((*models)[cell % models->size()], p), "create");
-          if (Status s = forecaster->Fit(d.train); !s.ok()) {
-            Die("fit: " + s.ToString());
-          }
-          auto prediction =
-              DieOnError(forecaster->Forecast(d.truth.size()), "forecast");
-          return DieOnError(Mae(d.truth, prediction), "mae");
-        },
-        {.label = "profile.table1_cell"});
-    double sum = 0;
-    for (double v : maes) sum += v;
-    return sum;
-  };
-}
-
-// fig5: tradeoff-grid sweeps — per model a grid of (loss alpha', SAA
-// alpha') full pipeline runs, each grid point one pool task (mirrors
-// bench/fig5_pareto.cpp's quick grid).
-ProfilePass MakeFig5Pass(double days, size_t epochs) {
-  WorkloadConfig workload =
-      RegionNodeProfile(Region::kEastUs2, NodeSize::kMedium, 21);
-  workload.hourly_spike_requests = 25.0;
-  workload.duration_days = days;
-  auto generator = DieOnError(DemandGenerator::Create(workload), "workload");
-  TimeSeries all = generator.GenerateBinned();
-  auto [train_ts, eval_full] = all.Split(0.8);
-  const size_t eval_bins = std::min<size_t>(240, eval_full.size());
-  auto eval = std::make_shared<TimeSeries>(
-      eval_full.Slice(eval_full.size() - eval_bins, eval_full.size()));
-  // Training prefix extends to the eval window's edge (no lookahead).
-  std::vector<double> pre(train_ts.values());
-  for (size_t i = 0; i + eval_bins < eval_full.size(); ++i) {
-    pre.push_back(eval_full.value(i));
-  }
-  auto train = std::make_shared<TimeSeries>(
-      train_ts.start(), train_ts.interval(), std::move(pre));
-
-  return [train, eval, epochs](const exec::ExecContext& exec,
-                               const ObsContext& obs) {
-    double sum = 0;
-    for (ModelKind model :
-         {ModelKind::kBaseline, ModelKind::kSsa, ModelKind::kSsaPlus}) {
-      const std::vector<double> loss_alphas =
-          model == ModelKind::kBaseline ? std::vector<double>{0.5, 1.0}
-                                        : std::vector<double>{0.5, 0.9};
-      const std::vector<double> saa_alphas = {0.5, 0.1};
-      std::vector<std::pair<double, double>> grid;
-      for (double loss_alpha : loss_alphas) {
-        for (double saa_alpha : saa_alphas) {
-          grid.emplace_back(loss_alpha, saa_alpha);
-        }
-      }
-      std::vector<double> scores(grid.size());
-      exec::ParallelFor(
-          exec, 0, grid.size(),
-          [&](size_t lo, size_t hi) {
-            for (size_t idx = lo; idx < hi; ++idx) {
-              const auto [loss_alpha, saa_alpha] = grid[idx];
-              PipelineConfig config;
-              config.kind = PipelineKind::k2Step;
-              config.model = model;
-              config.obs = obs;
-              config.forecast.window = 144;
-              config.forecast.horizon = 120;
-              config.forecast.epochs = epochs;
-              config.forecast.stride = 48;
-              config.forecast.batch_size = 8;
-              config.recommendation_bins = eval->size();
-              config.saa.pool.tau_bins = 3;
-              config.saa.pool.stableness_bins = 10;
-              config.saa.pool.max_pool_size = 500;
-              config.saa.alpha_prime = saa_alpha;
-              if (model == ModelKind::kBaseline) {
-                config.forecast.gamma = loss_alpha;
-              } else {
-                config.forecast.alpha_prime = loss_alpha;
-              }
-              auto engine = DieOnError(RecommendationEngine::Create(config),
-                                       "engine");
-              auto rec = DieOnError(engine.Run(*train), "pipeline");
-              auto metrics = DieOnError(
-                  EvaluateSchedule(*eval, rec.pool_size_per_bin,
-                                   config.saa.pool),
-                  "evaluate");
-              scores[idx] = metrics.avg_wait_seconds_capped +
-                            metrics.idle_cluster_seconds * 1e-6;
-            }
-          },
-          {.label = "profile.tradeoff_grid"});
-      for (double s : scores) sum += s;
-    }
-    return sum;
-  };
-}
-
-int CmdProfile(const std::map<std::string, std::string>& flags) {
-  const std::string bench = FlagOr(flags, "bench", "table1");
-  const size_t threads = static_cast<size_t>(NumFlag(flags, "threads", 4));
-  if (threads == 0) Die("profile needs --threads >= 1 (the pool under test)");
-  const int repeat = std::max(1, static_cast<int>(NumFlag(flags, "repeat", 3)));
-  const double days = NumFlag(flags, "days", 1.0);
-  const size_t epochs =
-      std::max<size_t>(1, static_cast<size_t>(NumFlag(flags, "epochs", 2)));
-  const double gate_pct = NumFlag(flags, "max-overhead-pct", 3.0);
-
-  ProfilePass run_pass;
-  if (bench == "table1") {
-    run_pass = MakeTable1Pass(days, epochs);
-  } else if (bench == "fig5") {
-    run_pass = MakeFig5Pass(days, epochs);
-  } else {
-    Die("unknown --bench '" + bench + "' (use table1 or fig5)");
-  }
-
-  // Serial reference: no pool, no observability.
-  const double serial_begin = MonotonicSeconds();
-  const double serial_checksum = run_pass({}, {});
-  const double serial_seconds = MonotonicSeconds() - serial_begin;
-
-  obs::MetricsRegistry registry;
-  obs::Tracer tracer;
-  exec::TaskProfiler profiler;
-  profiler.AttachMetrics(&registry);
-  // The pool is declared after the instruments so it is destroyed first: a
-  // ParallelFor returns when its chunks are done, but its driver tasks can
-  // still be winding down, and a straggler must never outlive the profiler
-  // and registry it records into.
-  exec::ThreadPool pool(threads);
-  const exec::ExecContext exec{&pool};
-
-  // Alternating untraced / traced+profiled parallel passes; min over the
-  // repeats absorbs scheduler noise, interleaving absorbs thermal drift.
-  double untraced_min = 1e300;
-  double traced_min = 1e300;
-  double traced_wall_last = 0.0;
-  bool outputs_match = true;
-  for (int r = 0; r < repeat; ++r) {
-    double begin = MonotonicSeconds();
-    const double untraced_checksum = run_pass(exec, {});
-    untraced_min = std::min(untraced_min, MonotonicSeconds() - begin);
-    pool.Wait();  // drain driver stragglers before attaching the profiler
-
-    profiler.Clear();  // keep only the final pass's timeline
-    pool.AttachProfiler(&profiler);
-    begin = MonotonicSeconds();
-    const double traced_checksum =
-        run_pass(exec, ObsContext{&registry, &tracer});
-    traced_wall_last = MonotonicSeconds() - begin;
-    traced_min = std::min(traced_min, traced_wall_last);
-    // Quiesce before detaching: driver tasks submitted by the traced pass
-    // may still be winding down, and they record into the profiler.
-    pool.Wait();
-    pool.AttachProfiler(nullptr);
-
-    outputs_match = outputs_match && untraced_checksum == serial_checksum &&
-                    traced_checksum == serial_checksum;
-  }
-
-  std::printf("profile %s: %zu threads, %d repeats\n", bench.c_str(), threads,
-              repeat);
-  std::printf("serial %.3fs | parallel untraced %.3fs (%.2fx) | "
-              "traced+profiled %.3fs (%.2fx)\n",
-              serial_seconds, untraced_min, serial_seconds / untraced_min,
-              traced_min, serial_seconds / traced_min);
-  std::printf("outputs %s\n", outputs_match
-                                  ? "bit-identical across all passes"
-                                  : "DIFFER ACROSS PASSES (bug!)");
-
-  // Per-(label, kind) utilization breakdown of the last traced pass.
-  const auto records = profiler.Records();
-  struct Agg {
-    size_t count = 0;
-    size_t stolen = 0;
-    double queue_seconds = 0;
-    double run_seconds = 0;
-  };
-  std::map<std::pair<std::string, std::string>, Agg> by_label;
-  double min_enqueue = 1e300;
-  double max_end = 0;
-  double chunk_run_seconds = 0;
-  for (const auto& rec : records) {
-    Agg& agg = by_label[{rec.label, exec::TaskKindToString(rec.kind)}];
-    ++agg.count;
-    agg.stolen += rec.stolen ? 1 : 0;
-    agg.queue_seconds += rec.queue_seconds();
-    agg.run_seconds += rec.run_seconds();
-    min_enqueue = std::min(min_enqueue, rec.enqueue_seconds);
-    max_end = std::max(max_end, rec.end_seconds);
-    if (rec.kind == exec::TaskKind::kChunk) {
-      chunk_run_seconds += rec.run_seconds();
-    }
-  }
-  std::printf("\n%-24s %-6s %6s %7s %12s %12s\n", "label", "kind", "tasks",
-              "stolen", "queue(ms)", "run(ms)");
-  for (const auto& [key, agg] : by_label) {
-    std::printf("%-24s %-6s %6zu %7zu %12.2f %12.2f\n", key.first.c_str(),
-                key.second.c_str(), agg.count, agg.stolen,
-                agg.queue_seconds * 1e3, agg.run_seconds * 1e3);
-  }
-  if (profiler.dropped() > 0) {
-    std::printf("(%zu task records dropped: buffer full)\n",
-                profiler.dropped());
-  }
-
-  // Reconcile the timeline against the wall clock: the records of the last
-  // traced pass must span (enqueue of the first task .. end of the last)
-  // within 5% of the measured wall, and the chunk run-time sum bounds the
-  // executors' busy fraction.
-  double coverage = 0.0;
-  if (!records.empty() && traced_wall_last > 0.0) {
-    coverage = (max_end - min_enqueue) / traced_wall_last;
-    const double busy =
-        chunk_run_seconds /
-        (static_cast<double>(threads + 1) * traced_wall_last);
-    std::printf("\ntimeline covers %.1f%% of the traced wall clock "
-                "(%s within 5%%); executors %.1f%% busy on chunk bodies\n",
-                100.0 * coverage, std::abs(coverage - 1.0) <= 0.05 ? "OK:" :
-                "NOT", 100.0 * busy);
-  } else {
-    std::printf("\nno task records captured — is the pool idle?\n");
-  }
-
-  // The overhead gate: tracing + profiling must stay within --max-overhead-
-  // pct of the untraced pass (<= 0 disables). Written as JSON either way so
-  // CI keeps a history.
-  const double overhead_pct =
-      untraced_min > 0.0 ? 100.0 * (traced_min - untraced_min) / untraced_min
-                         : 0.0;
-  const bool gate_enabled = gate_pct > 0.0;
-  const bool gate_pass = !gate_enabled || overhead_pct <= gate_pct;
-  std::printf("\nobs overhead: %+.2f%% (gate %s%.1f%%): %s\n", overhead_pct,
-              gate_enabled ? "<= " : "disabled at ", gate_pct,
-              gate_pass ? "PASS" : "FAIL");
-  WriteTextTo(
-      FlagOr(flags, "overhead-out", "BENCH_obs_overhead.json"),
-      StrFormat("{\"benchmark\":\"profile_%s\",\"threads\":%zu,"
-                "\"repeat\":%d,\"serial_seconds\":%.6f,"
-                "\"untraced_seconds\":%.6f,\"traced_seconds\":%.6f,"
-                "\"overhead_pct\":%.3f,\"gate_pct\":%.3f,"
-                "\"timeline_coverage\":%.4f,\"outputs_match\":%s,"
-                "\"pass\":%s}\n",
-                bench.c_str(), threads, repeat, serial_seconds, untraced_min,
-                traced_min, overhead_pct, gate_pct, coverage,
-                outputs_match ? "true" : "false",
-                gate_pass ? "true" : "false"));
-
-  if (auto it = flags.find("tasks-out"); it != flags.end()) {
-    WriteTextTo(it->second, exec::TaskTimelineJsonl(profiler));
-  }
-  if (auto it = flags.find("trace-out"); it != flags.end()) {
-    WriteTextTo(it->second, obs::SpansJsonl(tracer));
-  }
-  if (auto it = flags.find("metrics-out"); it != flags.end()) {
-    pool.PublishTo(&registry);
-    tracer.PublishTo(&registry);
-    WriteTextTo(it->second, obs::PrometheusText(registry));
-  }
-  return gate_pass ? 0 : 1;
-}
-
 }  // namespace
 
 int main(int argc, char** argv) {
   if (argc < 2) {
     std::fprintf(stderr,
                  "usage: ipool_cli <generate|recommend|evaluate|simulate|"
-                 "sweep|tune|loop|serve|get|publish|scrape|trace|profile> "
+                 "sweep|tune|loop|serve|get|publish|scrape|trace> "
                  "[--flag value ...]\n"
                  "  tune:    --demand demand.csv | --profile regime-shift"
                  " [--models baseline,ssa,ssa+] [--alphas ...]\n"
@@ -1395,9 +1076,7 @@ int main(int argc, char** argv) {
                  "  publish: --port 7070 --metric demand.POOL [--start 0]"
                  " [--interval 30] [--count N --value V | --values v0,v1,..]\n"
                  "  scrape:  --port 7070 [--host 127.0.0.1]\n"
-                 "  trace:   --port 7070 [--limit 256]\n"
-                 "  profile: --bench table1|fig5 --threads 4 [--repeat 3]"
-                 " [--max-overhead-pct 3]\n");
+                 "  trace:   --port 7070 [--limit 256]\n");
     return 1;
   }
   const std::string command = argv[1];
@@ -1414,6 +1093,5 @@ int main(int argc, char** argv) {
   if (command == "publish") return CmdPublish(flags);
   if (command == "scrape") return CmdScrape(flags);
   if (command == "trace") return CmdTrace(flags);
-  if (command == "profile") return CmdProfile(flags);
   Die("unknown command: " + command);
 }
