@@ -2,100 +2,10 @@
 // paper's headline: the hybrid SSA+ trains barely slower than SSA and ~200x
 // faster than the pure deep models, which is why SSA+ is the deployed model
 // (it can retrain in a continuous loop every few minutes).
-#include <cmath>
+#include <algorithm>
 
 #include "bench/bench_util.h"
-#include "common/rng.h"
 #include "forecast/forecaster.h"
-#include "forecast/ssa.h"
-
-namespace {
-
-using namespace ipool;
-using namespace ipool::bench;
-
-// Strong diurnal + hourly demand with light noise — the paper's periodic
-// signal regime, where the spectrum has a well-gapped low-rank head and the
-// subspace fast path engages. Values stay in request-count units.
-std::vector<double> PeriodicDemandSeries(size_t n, uint64_t seed) {
-  Rng rng(seed);
-  std::vector<double> vals(n);
-  for (size_t i = 0; i < n; ++i) {
-    const double t = static_cast<double>(i);
-    vals[i] = 400.0 + 180.0 * std::sin(2.0 * M_PI * t / 2880.0) +
-              60.0 * std::sin(2.0 * M_PI * t / 120.0) + rng.Normal(0.0, 2.0);
-  }
-  return vals;
-}
-
-// Jacobi-vs-subspace SSA training comparison at control-loop scale: dense
-// Jacobi Fit vs subspace Fit (cold) vs warm Refit on the same series, with
-// the forecast divergence between the paths. forecast_test checks the quick
-// geometry (n = 1024, L = 256): the fast path engages cold and warm and
-// agrees with Jacobi within 1e-6.
-void RunSsaFastPathSection() {
-  const std::vector<size_t> windows =
-      QuickMode() ? std::vector<size_t>{256} : std::vector<size_t>{256, 384};
-
-  std::printf("\n--- SSA training fast path (old dense Jacobi vs subspace) "
-              "--------\n");
-  std::printf("%-8s %-6s %10s %10s %10s %8s %8s %12s\n", "window", "n",
-              "jacobi", "cold", "refit", "cold-x", "warm-x", "max-rel-diff");
-
-  for (size_t window : windows) {
-    const size_t n = QuickMode() ? 4 * window : 8 * window;
-    const size_t shift = 2;
-    const std::vector<double> vals = PeriodicDemandSeries(n + shift, 9);
-    const TimeSeries first(
-        0.0, 30.0, std::vector<double>(vals.begin(), vals.end() - shift));
-    const TimeSeries second(30.0 * static_cast<double>(shift), 30.0,
-                            std::vector<double>(vals.begin() + shift,
-                                                vals.end()));
-
-    SsaForecaster::Options options;
-    options.window = window;
-
-    // Old path: dense Jacobi over all L pairs.
-    SsaForecaster::Options jopt = options;
-    jopt.force_jacobi = true;
-    SsaForecaster jacobi(jopt);
-    WallTimer jacobi_timer;
-    CheckOk(jacobi.Fit(first), "jacobi fit");
-    const double jacobi_seconds = jacobi_timer.Seconds();
-
-    // New path, cold: subspace iteration from the seeded block.
-    SsaForecaster fast(options);
-    WallTimer cold_timer;
-    CheckOk(fast.Fit(first), "subspace fit");
-    const double cold_seconds = cold_timer.Seconds();
-
-    // New path, warm: the window slid forward two bins — Gram slide plus
-    // warm-started subspace, the per-tick cost of the control loop.
-    WallTimer refit_timer;
-    CheckOk(fast.Refit(second), "refit");
-    const double refit_seconds = refit_timer.Seconds();
-
-    // Forecast divergence between the oracle and the fast path (same data:
-    // compare the cold fits).
-    SsaForecaster fast_first(options);
-    CheckOk(fast_first.Fit(first), "subspace fit");
-    const std::vector<double> jf = CheckOk(jacobi.Forecast(120), "forecast");
-    const std::vector<double> sf =
-        CheckOk(fast_first.Forecast(120), "forecast");
-    double max_rel_diff = 0.0;
-    for (size_t i = 0; i < jf.size(); ++i) {
-      max_rel_diff = std::max(max_rel_diff, std::fabs(sf[i] - jf[i]) /
-                                                std::max(1.0, std::fabs(jf[i])));
-    }
-
-    std::printf("%-8zu %-6zu %9.3fs %9.3fs %9.3fs %7.1fx %7.1fx %12.3e\n",
-                window, n, jacobi_seconds, cold_seconds, refit_seconds,
-                jacobi_seconds / std::max(1e-9, cold_seconds),
-                jacobi_seconds / std::max(1e-9, refit_seconds), max_rel_diff);
-  }
-}
-
-}  // namespace
 
 int main() {
   using namespace ipool;
@@ -161,7 +71,6 @@ int main() {
               "the deep models scale linearly or worse.\n",
               static_cast<size_t>(days[last] * 2880), slowest_deep /
                   std::max(1e-9, times[last][1]));
-  RunSsaFastPathSection();
 
   std::printf("\n");
   PrintPhaseBreakdown(registry);

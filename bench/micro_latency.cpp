@@ -19,7 +19,6 @@
 #include "linalg/eigen.h"
 #include "linalg/matrix.h"
 #include "linalg/simd_kernels.h"
-#include "linalg/subspace.h"
 #include "obs/metrics.h"
 #include "obs/obs_context.h"
 #include "obs/trace.h"
@@ -158,31 +157,9 @@ void BM_HankelGramScalar(benchmark::State& state) {
 BENCHMARK(BM_HankelGramScalar)->Arg(96)->Arg(256)->Arg(512)
     ->Unit(benchmark::kMicrosecond);
 
-// Warm-refit path: slide an existing Gram forward by `shift` bins instead of
-// rebuilding. Each iteration pays one window^2 copy (to keep the slide from
-// compounding) plus the O(window^2 * shift) update itself.
-void BM_SlideHankelGram(benchmark::State& state) {
-  const size_t window = static_cast<size_t>(state.range(0));
-  constexpr size_t kShift = 8;
-  TimeSeries history = MakeDemand(2880);
-  const std::vector<double>& series = history.values();
-  const Matrix base = *HankelGram(
-      std::vector<double>(series.begin(),
-                          series.end() - static_cast<ptrdiff_t>(kShift)),
-      window);
-  for (auto _ : state) {
-    Matrix gram = base;
-    benchmark::DoNotOptimize(SlideHankelGram(gram, series, window, kShift));
-  }
-  state.SetLabel("shift 8: copy + incremental update");
-}
-BENCHMARK(BM_SlideHankelGram)->Arg(96)->Arg(256)
-    ->Unit(benchmark::kMicrosecond);
-
 namespace {
-// The eigensolver benches share one SSA-style Gram: a strong diurnal + surge
-// demand window whose spectrum has a well-gapped head, the regime the
-// subspace path accepts.
+// An SSA-style Gram: a strong diurnal + surge demand window, normalized the
+// way SSA training normalizes it.
 Matrix SsaStyleGram(size_t window) {
   TimeSeries history = MakeDemand(2880, /*seed=*/29);
   std::vector<double> y = history.values();
@@ -193,7 +170,7 @@ Matrix SsaStyleGram(size_t window) {
 }
 }  // namespace
 
-// Old SSA eigensolve: full dense Jacobi, O(L^3) per sweep, all L pairs.
+// SSA's eigensolve: full dense Jacobi, O(L^3) per sweep, all L pairs.
 void BM_TopEigenJacobi(benchmark::State& state) {
   const Matrix gram = SsaStyleGram(static_cast<size_t>(state.range(0)));
   for (auto _ : state) {
@@ -203,24 +180,6 @@ void BM_TopEigenJacobi(benchmark::State& state) {
   state.SetLabel("dense Jacobi, all pairs");
 }
 BENCHMARK(BM_TopEigenJacobi)->Arg(96)->Arg(256)->Unit(benchmark::kMillisecond);
-
-// New SSA eigensolve: block power + Rayleigh-Ritz for the top max_rank
-// pairs only, O(L^2 * r) per iteration.
-void BM_TopEigenSubspace(benchmark::State& state) {
-  const Matrix gram = SsaStyleGram(static_cast<size_t>(state.range(0)));
-  SubspaceOptions options;
-  options.converge_energy = 0.995;  // SSA's rank-selection threshold
-  size_t iters = 0;
-  for (auto _ : state) {
-    auto eig = SubspaceTopEigen(gram, 12, options);
-    benchmark::DoNotOptimize(eig);
-    if (eig.ok()) iters = eig->iterations;
-  }
-  state.SetLabel("block power + Rayleigh-Ritz, top 12+4 pairs, " +
-                 std::to_string(iters) + " iters");
-}
-BENCHMARK(BM_TopEigenSubspace)->Arg(96)->Arg(256)
-    ->Unit(benchmark::kMillisecond);
 
 void BM_SsaFit(benchmark::State& state) {
   TimeSeries history = MakeDemand(static_cast<size_t>(state.range(0)));

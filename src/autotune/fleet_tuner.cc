@@ -39,10 +39,6 @@ double ModelCostWeight(ModelKind kind) {
   return 1.0;
 }
 
-bool UsesSsaWarmState(ModelKind kind) {
-  return kind == ModelKind::kSsa || kind == ModelKind::kSsaPlus;
-}
-
 /// FNV-1a over the series' time base and value bit patterns: the memo must
 /// key on CONTENT, not object identity, so a re-tune over unchanged
 /// telemetry hits and a slid window misses.
@@ -81,12 +77,6 @@ std::string MemoKey(const std::string& pool, const TuningCandidate& c,
                    static_cast<int>(c.model), c.window, c.alpha_prime,
                    train_len, eval_len,
                    static_cast<unsigned long long>(content_hash));
-}
-
-std::string WarmKey(const std::string& pool, ModelKind model, size_t window,
-                    size_t train_len) {
-  return StrFormat("%s|%d|%zu|%zu", pool.c_str(), static_cast<int>(model),
-                   window, train_len);
 }
 
 std::vector<std::string> SplitTokens(const std::string& name) {
@@ -189,7 +179,6 @@ FleetTuner::FleetTuner(const FleetTunerConfig& config) : config_(config) {
 
 void FleetTuner::InvalidateCaches() {
   memo_.clear();
-  warm_.clear();
 }
 
 std::vector<TuningCandidate> FleetTuner::BuildCandidates(
@@ -238,11 +227,9 @@ namespace {
 Result<TimeSeries> BuildPlanning(const FleetTunerConfig& config,
                                  ModelKind model, size_t window,
                                  const TimeSeries& train,
-                                 const TimeSeries& eval,
-                                 ForecastWarmState* warm) {
+                                 const TimeSeries& eval) {
   ForecastParams params = config.forecast;
   params.window = window;
-  params.ssa_warm = warm != nullptr ? &warm->ssa : nullptr;
   // Serial inside the group body (groups are the parallel unit) and
   // metrics-only obs: instruments are lock-free atomics, safe from any
   // thread.
@@ -250,7 +237,7 @@ Result<TimeSeries> BuildPlanning(const FleetTunerConfig& config,
   params.obs = ObsContext{config.obs.metrics, nullptr};
   IPOOL_ASSIGN_OR_RETURN(std::unique_ptr<Forecaster> forecaster,
                          CreateForecaster(model, params));
-  IPOOL_RETURN_NOT_OK(forecaster->Refit(train));
+  IPOOL_RETURN_NOT_OK(forecaster->Fit(train));
   IPOOL_ASSIGN_OR_RETURN(std::vector<double> forecast,
                          forecaster->Forecast(eval.size()));
   return TimeSeries(eval.start(), eval.interval(), std::move(forecast));
@@ -296,10 +283,9 @@ PoolTuneResult FleetTuner::TunePool(const std::string& pool,
     return result;
   }
 
-  // Bound the caches: a fleet of ever-changing pool names must not grow
-  // them without limit. Clearing only costs the next tune a cold pass.
+  // Bound the memo: a fleet of ever-changing pool names must not grow it
+  // without limit. Clearing only costs the next tune a cold pass.
   if (memo_.size() > 65536) memo_.clear();
-  if (warm_.size() > 4096) warm_.clear();
 
   const TimeSeries train_full = history.Slice(0, n - config_.eval_bins);
   const TimeSeries eval = history.Slice(n - config_.eval_bins, n);
@@ -334,7 +320,6 @@ PoolTuneResult FleetTuner::TunePool(const std::string& pool,
       size_t window = 0;
       std::vector<size_t> need;         ///< candidate ids needing evaluation
       std::vector<double> need_alphas;  ///< their alphas, same order
-      ForecastWarmState* warm = nullptr;
     };
     std::vector<Group> groups;
     std::map<std::pair<int, size_t>, size_t> group_index;
@@ -369,14 +354,6 @@ PoolTuneResult FleetTuner::TunePool(const std::string& pool,
 
     if (!groups.empty()) {
       obs::ScopedSpan rung_span(config_.obs.tracer, "tune.rung");
-      // Warm-state map nodes are created serially here (node pointers are
-      // stable), so the parallel bodies only touch their own group's entry.
-      for (Group& group : groups) {
-        if (UsesSsaWarmState(group.model)) {
-          group.warm = &warm_[WarmKey(pool, group.model, group.window,
-                                      train_len)];
-        }
-      }
       std::vector<Status> errors(groups.size(), Status::OK());
       std::vector<double> costs(groups.size(), 0.0);
       for (size_t g = 0; g < groups.size(); ++g) {
@@ -396,7 +373,7 @@ PoolTuneResult FleetTuner::TunePool(const std::string& pool,
                 IPOOL_ASSIGN_OR_RETURN(
                     TimeSeries planning,
                     BuildPlanning(config_, group.model, group.window, train,
-                                  eval, group.warm));
+                                  eval));
                 IPOOL_ASSIGN_OR_RETURN(
                     auto results,
                     ScoreAlphas(config_, planning, eval, group.need_alphas));
@@ -481,7 +458,7 @@ PoolTuneResult FleetTuner::TunePool(const std::string& pool,
 
   // §6 AutoTuner as the within-rung alpha refinement: walk alpha toward
   // the wait-time target on the winner's full-fidelity planning forecast
-  // (one extra fit, warm), keeping the best SCORING probe — refinement can
+  // (one extra fit), keeping the best SCORING probe — refinement can
   // only improve the winner, never replace it with a worse config. An
   // incumbent that won its own re-tune is NOT re-refined: it is already a
   // refined point, and walking its alpha a little further on every tune
@@ -492,13 +469,8 @@ PoolTuneResult FleetTuner::TunePool(const std::string& pool,
       incumbent_index != SIZE_MAX && winner_id == incumbent_index;
   if (config_.refine_steps > 0 && !winner_is_incumbent) {
     obs::ScopedSpan refine_span(config_.obs.tracer, "tune.refine");
-    ForecastWarmState* warm =
-        UsesSsaWarmState(winner.model)
-            ? &warm_[WarmKey(pool, winner.model, winner.window,
-                             train_full.size())]
-            : nullptr;
     auto planning = BuildPlanning(config_, winner.model, winner.window,
-                                  train_full, eval, warm);
+                                  train_full, eval);
     if (planning.ok()) {
       ++result.evaluations;
       if (evaluations_ != nullptr) evaluations_->Add(1);

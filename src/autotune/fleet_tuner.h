@@ -14,8 +14,7 @@
 //     alpha' of the group against the holdout. Groups fan out over
 //     exec::ParallelFor with cost-seeded chunking (deep models next to the
 //     baseline stop serializing behind the hot chunk), and each group owns
-//     its scratch + warm state, so the sweep is bit-identical at any thread
-//     count;
+//     its scratch, so the sweep is bit-identical at any thread count;
 //   * a candidate's score is the Fig-5 trade-off
 //         avg_wait_seconds_capped + idle_cost_weight * idle_cluster_seconds
 //     (lower is better); failed fits score +inf;
@@ -37,14 +36,11 @@
 //     incumbent serving. An incumbent whose own eval fails is stale and is
 //     demoted by any finite challenger.
 //
-// Warm starts, two layers (both preserve bit-identical results — the
-// determinism tests assert warm == cold):
-//   * rung-score memoization keyed by (pool, candidate, rung geometry,
-//     content hash of the telemetry slice): a re-tune over unchanged
-//     telemetry skips the fit entirely;
-//   * per-(pool, model, window, rung) SSA warm state (ForecastWarmState):
-//     when the telemetry DID slide, SSA-family refits reuse the previous
-//     Gram/basis (the PR-3 fast path) instead of refitting cold.
+// Warm starts: rung-score memoization keyed by (pool, candidate, rung
+// geometry, content hash of the telemetry slice), so a re-tune over
+// unchanged telemetry skips the fit entirely. It preserves bit-identical
+// results — the determinism tests assert warm == cold. Every fit that does
+// run is cold.
 // Seeding: the candidate grid is augmented with the pool's own previous
 // winner and the previous winners of region/node-size neighbor pools
 // (pools sharing a '-'-separated name token), so a new pool starts its
@@ -140,8 +136,8 @@ struct FleetTunerConfig {
   /// Pool structure the SAA solve runs against (same for every candidate).
   PoolModelConfig pool;
   /// Base forecaster hyper-parameters; candidate model/window/alpha
-  /// override per evaluation. `ssa_warm`/`exec`/`obs` fields are managed by
-  /// the tuner itself and ignored here.
+  /// override per evaluation. `exec`/`obs` fields are managed by the tuner
+  /// itself and ignored here.
   ForecastParams forecast;
 
   /// Fan-out for the per-rung group evaluations; null runs serially
@@ -189,8 +185,8 @@ class FleetTuner {
   PoolTuneResult TunePool(const std::string& pool, const TimeSeries& history,
                           const TuningCandidate* incumbent);
 
-  /// Drops memoized rung scores and warm forecaster state (not the
-  /// per-pool previous winners). Tests use it to force cold re-tunes.
+  /// Drops memoized rung scores (not the per-pool previous winners). Tests
+  /// use it to force cold re-tunes.
   void InvalidateCaches();
 
   const FleetTunerConfig& config() const { return config_; }
@@ -215,11 +211,6 @@ class FleetTuner {
   /// Rung-score memo: key encodes pool, candidate, rung geometry and a
   /// content hash of the history; value is (score, avg capped wait).
   std::map<std::string, std::pair<double, double>> memo_;
-
-  /// Warm forecaster state per (pool, model, window, train length). Map
-  /// node pointers are stable; nodes are created serially before each
-  /// rung's fan-out so parallel bodies only touch their own entry.
-  std::map<std::string, ForecastWarmState> warm_;
 
   /// Instrument handles fetched once at Create (null when obs is unwired).
   obs::Counter* runs_switched_ = nullptr;

@@ -66,48 +66,44 @@ std::vector<int64_t> SmoothSchedule(const std::vector<int64_t>& schedule,
 
 Result<Recommendation> RecommendationEngine::Run(
     const TimeSeries& history) const {
-  return Run(history, nullptr);
-}
-
-Result<Recommendation> RecommendationEngine::Run(
-    const TimeSeries& history, ForecastWarmState* warm) const {
   if (history.empty()) return Status::InvalidArgument("empty history");
   switch (config_.kind) {
     case PipelineKind::k2Step:
-      return RunTwoStep(history, warm);
+      return RunTwoStep(history);
     case PipelineKind::kEndToEnd:
-      return RunEndToEnd(history, warm);
+      return RunEndToEnd(history);
   }
   return Status::InvalidArgument("unknown pipeline kind");
 }
 
+Result<std::vector<double>> RecommendationEngine::FitAndForecast(
+    const TimeSeries& series, std::string* model_name) const {
+  IPOOL_ASSIGN_OR_RETURN(std::unique_ptr<Forecaster> forecaster,
+                         CreateForecaster(config_.model, config_.forecast));
+  *model_name = forecaster->name();
+  obs::ScopedSpan forecast_span(config_.obs.tracer, "forecast");
+  {
+    obs::ScopedSpan fit_span(config_.obs.tracer, "fit");
+    obs::ScopedTimer fit_timer(ModelHistogram(
+        config_.obs, "ipool_forecast_fit_seconds", *model_name));
+    IPOOL_RETURN_NOT_OK(forecaster->Fit(series));
+  }
+  obs::ScopedSpan predict_span(config_.obs.tracer, "predict");
+  obs::ScopedTimer predict_timer(ModelHistogram(
+      config_.obs, "ipool_forecast_predict_seconds", *model_name));
+  return forecaster->Forecast(config_.recommendation_bins);
+}
+
 Result<Recommendation> RecommendationEngine::RunTwoStep(
-    const TimeSeries& history, ForecastWarmState* warm) const {
+    const TimeSeries& history) const {
   const TimeSeries training =
       config_.smoothing_factor_bins > 0
           ? MaxFilter(history, config_.smoothing_factor_bins)
           : history;
 
-  ForecastParams fparams = config_.forecast;
-  fparams.ssa_warm = warm != nullptr ? &warm->ssa : nullptr;
-  IPOOL_ASSIGN_OR_RETURN(std::unique_ptr<Forecaster> forecaster,
-                         CreateForecaster(config_.model, fparams));
-  std::vector<double> predicted;
-  {
-    obs::ScopedSpan forecast_span(config_.obs.tracer, "forecast");
-    {
-      obs::ScopedSpan fit_span(config_.obs.tracer, "fit");
-      obs::ScopedTimer fit_timer(ModelHistogram(
-          config_.obs, "ipool_forecast_fit_seconds", forecaster->name()));
-      IPOOL_RETURN_NOT_OK(warm != nullptr ? forecaster->Refit(training)
-                                          : forecaster->Fit(training));
-    }
-    obs::ScopedSpan predict_span(config_.obs.tracer, "predict");
-    obs::ScopedTimer predict_timer(ModelHistogram(
-        config_.obs, "ipool_forecast_predict_seconds", forecaster->name()));
-    IPOOL_ASSIGN_OR_RETURN(predicted,
-                           forecaster->Forecast(config_.recommendation_bins));
-  }
+  std::string model_name;
+  IPOOL_ASSIGN_OR_RETURN(std::vector<double> predicted,
+                         FitAndForecast(training, &model_name));
 
   const double forecast_start =
       history.start() + history.interval() * static_cast<double>(history.size());
@@ -125,13 +121,13 @@ Result<Recommendation> RecommendationEngine::RunTwoStep(
                            history.interval())
           : schedule.pool_size_per_bin;
   rec.predicted_demand = std::move(predicted);
-  rec.model_name = forecaster->name();
+  rec.model_name = std::move(model_name);
   rec.pipeline = PipelineKind::k2Step;
   return rec;
 }
 
 Result<Recommendation> RecommendationEngine::RunEndToEnd(
-    const TimeSeries& history, ForecastWarmState* warm) const {
+    const TimeSeries& history) const {
   const TimeSeries training =
       config_.smoothing_factor_bins > 0
           ? MaxFilter(history, config_.smoothing_factor_bins)
@@ -148,26 +144,9 @@ Result<Recommendation> RecommendationEngine::RunEndToEnd(
                                   historic.pool_size_per_bin.end());
   TimeSeries pool_history(history.start(), history.interval(),
                           std::move(pool_series));
-  ForecastParams fparams = config_.forecast;
-  fparams.ssa_warm = warm != nullptr ? &warm->ssa : nullptr;
-  IPOOL_ASSIGN_OR_RETURN(std::unique_ptr<Forecaster> forecaster,
-                         CreateForecaster(config_.model, fparams));
-  std::vector<double> predicted_pool;
-  {
-    obs::ScopedSpan forecast_span(config_.obs.tracer, "forecast");
-    {
-      obs::ScopedSpan fit_span(config_.obs.tracer, "fit");
-      obs::ScopedTimer fit_timer(ModelHistogram(
-          config_.obs, "ipool_forecast_fit_seconds", forecaster->name()));
-      IPOOL_RETURN_NOT_OK(warm != nullptr ? forecaster->Refit(pool_history)
-                                          : forecaster->Fit(pool_history));
-    }
-    obs::ScopedSpan predict_span(config_.obs.tracer, "predict");
-    obs::ScopedTimer predict_timer(ModelHistogram(
-        config_.obs, "ipool_forecast_predict_seconds", forecaster->name()));
-    IPOOL_ASSIGN_OR_RETURN(predicted_pool,
-                           forecaster->Forecast(config_.recommendation_bins));
-  }
+  std::string model_name;
+  IPOOL_ASSIGN_OR_RETURN(std::vector<double> predicted_pool,
+                         FitAndForecast(pool_history, &model_name));
 
   std::vector<int64_t> schedule(predicted_pool.size());
   for (size_t i = 0; i < predicted_pool.size(); ++i) {
@@ -182,7 +161,7 @@ Result<Recommendation> RecommendationEngine::RunEndToEnd(
           ? SmoothSchedule(schedule, config_.saa.pool.tau_bins,
                            history.interval())
           : schedule;
-  rec.model_name = forecaster->name();
+  rec.model_name = std::move(model_name);
   rec.pipeline = PipelineKind::kEndToEnd;
   return rec;
 }

@@ -77,25 +77,21 @@ class RecommendationEngine {
   /// immediately following the history.
   Result<Recommendation> Run(const TimeSeries& history) const;
 
-  /// Same, threading per-pool warm training state across runs: the
-  /// forecaster Refit()s from the previous tick's state (warm-started SSA
-  /// training) and writes this tick's state back into `warm`. A null `warm`
-  /// behaves exactly like Run(history). The engine itself stays stateless —
-  /// the live plane shares it across its concurrent per-pool runs — so each
-  /// caller owns its warm state.
-  Result<Recommendation> Run(const TimeSeries& history,
-                             ForecastWarmState* warm) const;
-
   const PipelineConfig& config() const { return config_; }
 
  private:
   explicit RecommendationEngine(const PipelineConfig& config)
       : config_(config) {}
 
-  Result<Recommendation> RunTwoStep(const TimeSeries& history,
-                                    ForecastWarmState* warm) const;
-  Result<Recommendation> RunEndToEnd(const TimeSeries& history,
-                                     ForecastWarmState* warm) const;
+  Result<Recommendation> RunTwoStep(const TimeSeries& history) const;
+  Result<Recommendation> RunEndToEnd(const TimeSeries& history) const;
+
+  /// Creates the configured forecaster, fits it on `series` and predicts
+  /// the next `recommendation_bins` bins under the "forecast" span (with
+  /// "fit" and "predict" children) and the per-model fit/predict latency
+  /// histograms. Stores the forecaster's name in `*model_name`.
+  Result<std::vector<double>> FitAndForecast(const TimeSeries& series,
+                                             std::string* model_name) const;
 
   PipelineConfig config_;
 };

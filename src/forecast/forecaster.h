@@ -11,7 +11,6 @@
 
 #include "common/status.h"
 #include "exec/thread_pool.h"
-#include "linalg/matrix.h"
 #include "obs/obs_context.h"
 #include "tsdata/time_series.h"
 
@@ -29,47 +28,9 @@ class Forecaster {
   /// production pipeline retrains every few minutes).
   virtual Status Fit(const TimeSeries& history) = 0;
 
-  /// Incremental retrain on a history that (typically) slid forward a few
-  /// bins since the previous Fit/Refit. Models with warm-startable training
-  /// (SSA) override this to reuse prior state; the default is a full Fit,
-  /// so every model is safely refittable.
-  virtual Status Refit(const TimeSeries& history) { return Fit(history); }
-
   /// Predicts the `horizon` bins immediately following the fitted history.
   /// Predictions are clamped to be non-negative (they are request counts).
   virtual Result<std::vector<double>> Forecast(size_t horizon) = 0;
-};
-
-/// Warm state carried by the SSA trainer across control-loop ticks. Owned by
-/// the caller (one per pool in the live plane's fan-out); a null pointer in
-/// ForecastParams keeps every run cold. All numeric state is in RAW
-/// (unscaled) units so it survives per-tick changes of the normalization
-/// scale.
-struct SsaWarmState {
-  bool valid = false;
-  /// Geometry the cached Gram/basis were built for; a refit with different
-  /// geometry rebuilds from scratch (but still writes fresh warm state).
-  size_t window = 0;
-  size_t n = 0;
-  double start = 0.0;
-  double interval = 0.0;
-  /// The unscaled series the Gram covers (overlap is verified exactly
-  /// before an incremental slide is trusted).
-  std::vector<double> raw;
-  /// window x window Gram of `raw`'s Hankel embedding, raw units.
-  Matrix gram_raw;
-  /// window x r leading eigenbasis from the previous solve — the subspace
-  /// iteration's starting block (rank + oversample columns).
-  Matrix basis;
-  /// Incremental slides applied since the last full Gram rebuild; a rebuild
-  /// is forced periodically to bound floating-point drift.
-  size_t slides_since_rebuild = 0;
-};
-
-/// Per-pool warm state threaded from the control-loop worker through the
-/// recommendation engine into the forecaster factory.
-struct ForecastWarmState {
-  SsaWarmState ssa;
 };
 
 /// The models of Table 1 / Fig 5 / Fig 6.
@@ -114,9 +75,6 @@ struct ForecastParams {
   double gamma = 1.0;
   /// SSA rank cap.
   size_t ssa_rank = 12;
-  /// Optional warm state for the SSA trainer (see SsaWarmState). Null keeps
-  /// refits cold. Non-owning; must outlive the forecaster.
-  SsaWarmState* ssa_warm = nullptr;
   uint64_t seed = 7;
   /// Observability sink (optional): trainable models record per-epoch
   /// counters and internal training time against it.

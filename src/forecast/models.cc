@@ -216,13 +216,6 @@ size_t SsaPlusForecaster::corrector_parameter_count() const {
   return count;
 }
 
-Status SsaPlusForecaster::Refit(const TimeSeries& history) {
-  refitting_ = true;
-  Status status = Fit(history);
-  refitting_ = false;
-  return status;
-}
-
 Status SsaPlusForecaster::Fit(const TimeSeries& history) {
   IPOOL_RETURN_NOT_OK(params_.Validate());
   const size_t n = history.size();
@@ -238,13 +231,9 @@ Status SsaPlusForecaster::Fit(const TimeSeries& history) {
   // Collect (ssa prediction, truth, time-of-day) triples by fitting SSA on
   // growing prefixes and forecasting the next chunk — the residuals teach
   // the corrector the systematic over/undershoot of SSA on this workload.
-  // Anchor-prefix fits are throwaway probes over varying geometries: they
-  // run cold and never touch the cross-tick warm state (which the final
-  // full-history fit below owns).
   SsaForecaster::Options ssa_options;
   ssa_options.window = params_.window;
   ssa_options.max_rank = params_.ssa_rank;
-  ssa_options.seed = params_.seed;
   ssa_options.exec = params_.exec;
 
   struct Sample {
@@ -349,14 +338,11 @@ Status SsaPlusForecaster::Fit(const TimeSeries& history) {
   use_corrector_ = num_val > 0 && corrected_loss <= 0.97 * raw_loss;
 
   // Final SSA over the full history for inference, plus the recent level
-  // feature frozen at the end of the history. This fit carries the warm
-  // state: a Refit of the hybrid reuses the previous tick's SSA training
-  // state here (the corrector is tiny and always retrains from scratch).
+  // feature frozen at the end of the history.
   SsaForecaster::Options final_options = ssa_options;
-  final_options.warm = params_.ssa_warm;
   final_options.obs = params_.obs;
   ssa_.emplace(final_options);
-  IPOOL_RETURN_NOT_OK(refitting_ ? ssa_->Refit(history) : ssa_->Fit(history));
+  IPOOL_RETURN_NOT_OK(ssa_->Fit(history));
   const size_t lookback = std::min<size_t>(n, 20);
   recent_level_scaled_ = 0.0;
   for (size_t b = n - lookback; b < n; ++b) {
@@ -430,8 +416,6 @@ Result<std::unique_ptr<Forecaster>> CreateForecaster(
       SsaForecaster::Options options;
       options.window = params.window;
       options.max_rank = params.ssa_rank;
-      options.seed = params.seed;
-      options.warm = params.ssa_warm;
       options.obs = params.obs;
       options.exec = params.exec;
       return std::unique_ptr<Forecaster>(new SsaForecaster(options));

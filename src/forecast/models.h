@@ -132,10 +132,6 @@ class SsaPlusForecaster : public Forecaster {
 
   std::string name() const override { return "SSA+"; }
   Status Fit(const TimeSeries& history) override;
-  /// Warm refit: the final full-history SSA fit reuses the previous tick's
-  /// training state (via ForecastParams::ssa_warm); the anchor-prefix probes
-  /// and the corrector retrain as usual.
-  Status Refit(const TimeSeries& history) override;
   Result<std::vector<double>> Forecast(size_t horizon) override;
 
   /// Number of trainable corrector parameters (paper: ~30).
@@ -168,9 +164,6 @@ class SsaPlusForecaster : public Forecaster {
   /// model then behaves as plain SSA.
   bool use_corrector_ = true;
   double recent_level_scaled_ = 0.0;
-  /// True while a Refit is in flight (routes the final SSA fit through its
-  /// warm path).
-  bool refitting_ = false;
 };
 
 }  // namespace ipool

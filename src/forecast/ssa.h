@@ -1,18 +1,17 @@
 // Singular Spectrum Analysis forecasting (Golyandina & Korobeynikov style),
 // the traditional-ML contender of §5.1 and the base of the hybrid SSA+
-// model. Pipeline: Hankel embedding -> SVD -> top-r grouping -> diagonal-
-// averaging reconstruction -> linear recurrence (R-)forecasting.
+// model. Pipeline: Hankel embedding -> eigendecomposition of its Gram ->
+// top-r grouping -> diagonal-averaging reconstruction -> linear recurrence
+// (R-)forecasting.
 //
-// Training fast path (DESIGN.md "SSA training fast path"): the L x K Hankel
-// matrix is never materialized — its L x L Gram is built by sliding-diagonal
-// updates (HankelGram), only the top max_rank (+ oversample) eigenpairs are
-// extracted by a warm-startable subspace iteration (SubspaceTopEigen, with
-// the dense Jacobi solve as fallback oracle), and Refit reuses the previous
-// tick's Gram and singular subspace across control-loop ticks.
+// Training (DESIGN.md "SSA training") is one cold path, run from scratch on
+// every Fit: the L x K Hankel matrix is never materialized — its L x L Gram
+// is built by sliding-diagonal updates (HankelGram) and decomposed by the
+// dense Jacobi solve (SymmetricEigen), and the reconstruction reads the
+// series directly.
 #ifndef IPOOL_FORECAST_SSA_H_
 #define IPOOL_FORECAST_SSA_H_
 
-#include <cstdint>
 #include <string>
 #include <vector>
 
@@ -31,36 +30,18 @@ class SsaForecaster : public Forecaster {
     /// Keep components until this fraction of spectrum energy is captured
     /// (whichever of max_rank / energy binds first).
     double energy_threshold = 0.995;
-    /// Seeds the subspace iteration's random start block.
-    uint64_t seed = 7;
-    /// Forces the dense Jacobi eigensolve (the reference oracle) instead of
-    /// the subspace iteration. For tests and benchmarks.
-    bool force_jacobi = false;
-    /// Cross-tick warm state (see SsaWarmState). Null means the forecaster
-    /// keeps private warm state, so Refit works standalone; wiring a shared
-    /// pointer lets a fresh forecaster instance inherit a previous one's
-    /// training state (the control-loop pattern).
-    SsaWarmState* warm = nullptr;
-    /// Observability sink (optional): fit-phase spans and path metrics.
+    /// Observability sink (optional): fit-phase spans and the fit-time
+    /// histogram.
     ObsContext obs;
-    /// Execution context (optional): reconstruction and the subspace
-    /// iteration fan out over this pool, bit-identical to serial.
+    /// Execution context (optional): the reconstruction fans out over this
+    /// pool, bit-identical to serial.
     exec::ExecContext exec;
   };
-
-  /// Which eigensolve produced the current fit.
-  enum class FitPath { kNone, kSubspace, kJacobi };
 
   explicit SsaForecaster(Options options) : options_(options) {}
 
   std::string name() const override { return "SSA"; }
-  /// Cold fit: ignores (and then refreshes) any warm state.
   Status Fit(const TimeSeries& history) override;
-  /// Warm fit: reuses the previous Gram (slid incrementally when the window
-  /// moved forward in place) and the previous singular subspace as the
-  /// eigensolver's starting block. Falls back to cold behavior whenever the
-  /// cached state does not match the new history.
-  Status Refit(const TimeSeries& history) override;
   Result<std::vector<double>> Forecast(size_t horizon) override;
 
   /// In-sample reconstruction of the fitted series (denoised signal),
@@ -68,17 +49,7 @@ class SsaForecaster : public Forecaster {
   const std::vector<double>& reconstruction() const { return reconstruction_; }
   size_t chosen_rank() const { return chosen_rank_; }
 
-  /// Fit-path introspection for tests and benches.
-  FitPath fit_path() const { return fit_path_; }
-  size_t subspace_iterations() const { return subspace_iterations_; }
-  /// True when the last fit reused the previous tick's eigenbasis.
-  bool warm_basis_hit() const { return warm_basis_hit_; }
-  /// True when the last fit reused (slid or verbatim) the previous Gram.
-  bool warm_gram_hit() const { return warm_gram_hit_; }
-
  private:
-  Status FitImpl(const TimeSeries& history, bool allow_warm);
-
   Options options_;
   bool fitted_ = false;
   double scale_ = 1.0;
@@ -89,13 +60,6 @@ class SsaForecaster : public Forecaster {
   std::vector<double> reconstruction_;  // unscaled (original units)
   double fallback_level_ = 0.0;
   bool use_fallback_ = false;
-
-  /// Private warm state used when Options::warm is null.
-  SsaWarmState own_warm_;
-  FitPath fit_path_ = FitPath::kNone;
-  size_t subspace_iterations_ = 0;
-  bool warm_basis_hit_ = false;
-  bool warm_gram_hit_ = false;
 };
 
 }  // namespace ipool

@@ -86,129 +86,16 @@ Result<EigenDecomposition> SymmetricEigen(const Matrix& input,
 
   EigenDecomposition out;
   out.values.resize(n);
+  for (size_t i = 0; i < n; ++i) out.values[i] = a(order[i], order[i]);
+  // Release the rotated working copy before the sorted eigenvectors are
+  // allocated, so at most three n x n matrices (input, a or output, v) are
+  // ever live: an SSA fit's peak heap stays far below its Hankel matrix.
+  a = Matrix();
   out.vectors = Matrix(n, n);
   for (size_t i = 0; i < n; ++i) {
-    out.values[i] = a(order[i], order[i]);
     for (size_t r = 0; r < n; ++r) out.vectors(r, i) = v(r, order[i]);
   }
   return out;
-}
-
-Result<Svd> ThinSvd(const Matrix& a, double rank_tol) {
-  if (a.empty()) return Status::InvalidArgument("ThinSvd on empty matrix");
-  const size_t m = a.rows();
-  const size_t n = a.cols();
-  // Work with the smaller Gram matrix: A^T A (n x n) or A A^T (m x m).
-  const bool use_ata = n <= m;
-  // The Gram product routes through the blocked MatMul so it picks up cache
-  // blocking and the ambient exec pool. Both triangles accumulate identical
-  // products in identical (k-ascending) order, so the result is exactly
-  // symmetric — no symmetrization pass needed.
-  const Matrix at = a.Transpose();
-  IPOOL_ASSIGN_OR_RETURN(Matrix gram, use_ata ? MatMul(at, a) : MatMul(a, at));
-
-  IPOOL_ASSIGN_OR_RETURN(EigenDecomposition eig, SymmetricEigen(gram));
-
-  const double max_ev = eig.values.empty() ? 0.0 : std::max(eig.values[0], 0.0);
-  const double max_sv = std::sqrt(max_ev);
-  const double cutoff = rank_tol * std::max(max_sv, 1e-300);
-
-  size_t rank = 0;
-  for (double ev : eig.values) {
-    if (ev > 0.0 && std::sqrt(ev) > cutoff) ++rank;
-  }
-  if (rank == 0) rank = 1;  // keep at least the dominant direction
-
-  Svd out;
-  out.singular_values.resize(rank);
-  out.u = Matrix(m, rank);
-  out.v = Matrix(n, rank);
-  for (size_t i = 0; i < rank; ++i) {
-    const double sv = std::sqrt(std::max(eig.values[i], 0.0));
-    out.singular_values[i] = sv;
-    if (use_ata) {
-      // eigenvectors are right singular vectors; u_i = A v_i / sv.
-      for (size_t r = 0; r < n; ++r) out.v(r, i) = eig.vectors(r, i);
-      for (size_t r = 0; r < m; ++r) {
-        double acc = 0.0;
-        for (size_t k = 0; k < n; ++k) acc += a(r, k) * eig.vectors(k, i);
-        out.u(r, i) = sv > 0.0 ? acc / sv : 0.0;
-      }
-    } else {
-      // eigenvectors are left singular vectors; v_i = A^T u_i / sv.
-      for (size_t r = 0; r < m; ++r) out.u(r, i) = eig.vectors(r, i);
-      for (size_t r = 0; r < n; ++r) {
-        double acc = 0.0;
-        for (size_t k = 0; k < m; ++k) acc += a(k, r) * eig.vectors(k, i);
-        out.v(r, i) = sv > 0.0 ? acc / sv : 0.0;
-      }
-    }
-  }
-  return out;
-}
-
-Result<std::vector<double>> CholeskySolve(const Matrix& a,
-                                          const std::vector<double>& b) {
-  if (a.rows() != a.cols() || a.rows() != b.size()) {
-    return Status::InvalidArgument("CholeskySolve shape mismatch");
-  }
-  const size_t n = a.rows();
-  Matrix l(n, n);
-  for (size_t i = 0; i < n; ++i) {
-    for (size_t j = 0; j <= i; ++j) {
-      double acc = a(i, j);
-      for (size_t k = 0; k < j; ++k) acc -= l(i, k) * l(j, k);
-      if (i == j) {
-        if (acc <= 0.0) {
-          return Status::FailedPrecondition(
-              "matrix not positive definite in CholeskySolve");
-        }
-        l(i, i) = std::sqrt(acc);
-      } else {
-        l(i, j) = acc / l(j, j);
-      }
-    }
-  }
-  // Forward then back substitution.
-  std::vector<double> y(n);
-  for (size_t i = 0; i < n; ++i) {
-    double acc = b[i];
-    for (size_t k = 0; k < i; ++k) acc -= l(i, k) * y[k];
-    y[i] = acc / l(i, i);
-  }
-  std::vector<double> x(n);
-  for (size_t ii = n; ii-- > 0;) {
-    double acc = y[ii];
-    for (size_t k = ii + 1; k < n; ++k) acc -= l(k, ii) * x[k];
-    x[ii] = acc / l(ii, ii);
-  }
-  return x;
-}
-
-Result<std::vector<double>> RidgeLeastSquares(const Matrix& a,
-                                              const std::vector<double>& b,
-                                              double ridge) {
-  if (a.rows() != b.size()) {
-    return Status::InvalidArgument("RidgeLeastSquares shape mismatch");
-  }
-  const size_t n = a.cols();
-  Matrix ata(n, n);
-  for (size_t i = 0; i < n; ++i) {
-    for (size_t j = i; j < n; ++j) {
-      double acc = 0.0;
-      for (size_t k = 0; k < a.rows(); ++k) acc += a(k, i) * a(k, j);
-      ata(i, j) = acc;
-      ata(j, i) = acc;
-    }
-    ata(i, i) += ridge;
-  }
-  std::vector<double> atb(n, 0.0);
-  for (size_t i = 0; i < n; ++i) {
-    double acc = 0.0;
-    for (size_t k = 0; k < a.rows(); ++k) acc += a(k, i) * b[k];
-    atb[i] = acc;
-  }
-  return CholeskySolve(ata, atb);
 }
 
 }  // namespace ipool

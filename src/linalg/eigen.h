@@ -1,6 +1,5 @@
-// Symmetric eigendecomposition (cyclic Jacobi) and derived factorizations:
-// thin SVD via the Gram matrix (the route SSA needs) and a ridge-regularized
-// least-squares solver used by the SSA linear recurrence fit.
+// Symmetric eigendecomposition by the cyclic Jacobi method: SSA training's
+// eigensolve (forecast/ssa.cc) on the L x L Hankel Gram.
 #ifndef IPOOL_LINALG_EIGEN_H_
 #define IPOOL_LINALG_EIGEN_H_
 
@@ -24,31 +23,6 @@ struct EigenDecomposition {
 Result<EigenDecomposition> SymmetricEigen(const Matrix& a,
                                           size_t max_sweeps = 64,
                                           double tol = 1e-12);
-
-struct Svd {
-  /// Descending non-negative singular values (rank many).
-  std::vector<double> singular_values;
-  /// m x r left singular vectors (columns).
-  Matrix u;
-  /// n x r right singular vectors (columns).
-  Matrix v;
-};
-
-/// Thin SVD of an m x n matrix computed from the eigendecomposition of the
-/// smaller Gram matrix. Singular values below `rank_tol * max_sv` are
-/// truncated. Accurate enough for SSA's low-rank reconstruction use.
-Result<Svd> ThinSvd(const Matrix& a, double rank_tol = 1e-10);
-
-/// Solves min_x ||A x - b||^2 + ridge * ||x||^2 via normal equations and
-/// Cholesky. `ridge` > 0 keeps the system well-posed when A is rank
-/// deficient (as SSA's recurrence fit can be on constant segments).
-Result<std::vector<double>> RidgeLeastSquares(const Matrix& a,
-                                              const std::vector<double>& b,
-                                              double ridge = 1e-8);
-
-/// Cholesky solve of a symmetric positive-definite system A x = b.
-Result<std::vector<double>> CholeskySolve(const Matrix& a,
-                                          const std::vector<double>& b);
 
 }  // namespace ipool
 

@@ -152,33 +152,4 @@ Result<Matrix> HankelGram(const std::vector<double>& series, size_t window) {
   return g;
 }
 
-Status SlideHankelGram(Matrix& gram, const std::vector<double>& combined,
-                       size_t window, size_t shift) {
-  if (gram.rows() != window || gram.cols() != window) {
-    return Status::InvalidArgument("gram shape does not match window");
-  }
-  if (combined.size() < shift || combined.size() - shift < window) {
-    return Status::InvalidArgument(
-        StrFormat("combined series of length %zu too short for window %zu "
-                  "and shift %zu",
-                  combined.size(), window, shift));
-  }
-  if (shift == 0) return Status::OK();
-  const size_t n = combined.size() - shift;  // old window length
-  const size_t k = n - window + 1;
-  for (size_t i = 0; i < window; ++i) {
-    for (size_t j = i; j < window; ++j) {
-      double delta = 0.0;
-      for (size_t t = 0; t < shift; ++t) {
-        delta -= combined[i + t] * combined[j + t];
-        delta += combined[i + k + t] * combined[j + k + t];
-      }
-      const double v = gram(i, j) + delta;
-      gram(i, j) = v;
-      gram(j, i) = v;
-    }
-  }
-  return Status::OK();
-}
-
 }  // namespace ipool

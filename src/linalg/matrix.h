@@ -74,19 +74,8 @@ Result<Matrix> HankelMatrix(const std::vector<double>& series, size_t window);
 ///   G(i+1, j+1) = G(i, j) - series[i]*series[j]
 ///                         + series[i+K]*series[j+K]
 /// in O(1), so the whole build is O(window * K + window^2) instead of the
-/// O(window^2 * K) of an explicit Gram product — the SSA training fast
-/// path's first win.
+/// O(window^2 * K) of an explicit Gram product.
 Result<Matrix> HankelGram(const std::vector<double>& series, size_t window);
-
-/// In-place update of `gram` (previously HankelGram(combined[0..n), window)
-/// with n = combined.size() - shift) to HankelGram(combined[shift..), window)
-/// — the Gram of the control-loop window slid forward by `shift` bins. Each
-/// entry gains the `shift` newly-entered lag products and loses the `shift`
-/// departed ones, so the update is O(window^2 * shift): cheaper than a
-/// rebuild whenever shift * window < K. Exact up to floating-point
-/// accumulation order (callers refresh periodically to bound drift).
-Status SlideHankelGram(Matrix& gram, const std::vector<double>& combined,
-                       size_t window, size_t shift);
 
 }  // namespace ipool
 

@@ -109,7 +109,6 @@ Result<std::unique_ptr<LiveControlPlane>> LiveControlPlane::Create(
     autotune::FleetTunerConfig tuner_config = config.tuner;
     tuner_config.pool = engine->config().saa.pool;
     tuner_config.forecast = engine->config().forecast;
-    tuner_config.forecast.ssa_warm = nullptr;
     tuner_config.forecast.exec = {};
     tuner_config.forecast.obs = {};
     if (tuner_config.exec.pool == nullptr) {
@@ -309,16 +308,9 @@ TickStatus LiveControlPlane::TickOnce() {
     }
   }
 
-  // Stage 2: compute, store lock released. Warm-state map nodes are created
-  // serially here so the parallel bodies only touch their own pool's entry.
+  // Stage 2: compute, store lock released.
   if (!work.empty()) {
     obs::ScopedSpan span(config_.obs.tracer, "live.refit_solve");
-    std::vector<ForecastWarmState*> warm(work.size(), nullptr);
-    if (config_.warm_refit) {
-      for (size_t i = 0; i < work.size(); ++i) {
-        warm[i] = &warm_[work[i].key];
-      }
-    }
     exec::ParallelForOptions options;
     options.label = "live.pool";
     exec::ParallelFor(
@@ -341,7 +333,7 @@ TickStatus LiveControlPlane::TickOnce() {
             obs::ScopedSpan pool_span(config_.obs.tracer, "live.pool");
             const RecommendationEngine* engine =
                 item.engine != nullptr ? item.engine : engine_;
-            item.result = engine->Run(item.history, warm[i]);
+            item.result = engine->Run(item.history);
           }
         },
         options);

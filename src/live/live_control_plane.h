@@ -13,9 +13,9 @@
 //      pool's recent binned demand; each pool's point count, last time and
 //      history are read under ONE shard shared lock (SnapshotBinned), so
 //      the view is consistent per pool without any global mutex;
-//   2. compute   — with no lock held, warm-refit the per-pool forecaster
-//      state and run the SAA solve, fanned out over the exec pool (one task
-//      per pool, per-pool warm state owned here);
+//   2. compute   — with no lock held, fit each pool's forecaster from
+//      scratch on its snapshot and run the SAA solve, fanned out over the
+//      exec pool (one task per pool; no forecaster state outlives a tick);
 //   (guardrail)  — when guardrail_mae_ratio > 0, hold back every fresh
 //      recommendation whose pool's previous forecast missed the telemetry
 //      observed since by more than the §7.5 limit;
@@ -83,8 +83,9 @@ struct LiveControlPlaneConfig {
   /// A pool must have at least this many telemetry points before it is
   /// forecast at all; below the floor it is skipped, not failed.
   size_t min_history_points = 64;
-  /// Carry per-pool ForecastWarmState across ticks (the SSA training fast
-  /// path). Disable to force every tick cold.
+  /// No effect: every tick fits each pool's forecaster cold. Kept only
+  /// because the repository benchmark's fleet workloads still assign it;
+  /// it goes away with the next benchmark change.
   bool warm_refit = true;
   /// §7.5 forecast-accuracy guardrail; 0 disables it. When positive, a
   /// `live.guardrail` stage between compute and publish scores each pool's
@@ -266,11 +267,6 @@ class LiveControlPlane {
   ShardedTelemetryStore* telemetry_;
   ShardedDocumentStore* documents_;
   LiveControlPlaneConfig config_;
-
-  /// Per-pool warm forecaster state; touched only inside TickOnce (map node
-  /// pointers are stable, so the parallel compute stage can write each
-  /// pool's entry concurrently).
-  std::map<std::string, ForecastWarmState> warm_;
 
   /// Guardrail references per pool; touched only inside TickOnce.
   std::map<std::string, ForecastRef> guardrail_refs_;

@@ -60,7 +60,6 @@ Result<std::vector<ReplayResult>> Replay(
   plane_config.bin_interval_seconds = grid.interval();
   plane_config.history_bins = config.history_bins;
   plane_config.min_history_points = 1;
-  plane_config.warm_refit = config.warm_refit;
   plane_config.guardrail_mae_ratio = config.guardrail_mae_ratio;
   plane_config.exec = config.exec;
   plane_config.obs = config.obs;

@@ -48,8 +48,6 @@ struct ReplayConfig {
   /// The default is loose enough to tolerate deliberate overshoot (a
   /// forecaster trained with alpha' near 1 predicts above demand).
   double guardrail_mae_ratio = 3.0;
-  /// LiveControlPlaneConfig::warm_refit.
-  bool warm_refit = true;
   /// §7.6 "consecutive system failures": a document older than this is
   /// distrusted and the pool runs at the default size.
   double recommendation_ttl_seconds = 3600.0;

@@ -1,9 +1,7 @@
 #include "tsdata/csv.h"
 
 #include <cmath>
-#include <cstdlib>
 #include <fstream>
-#include <sstream>
 
 #include "common/strings.h"
 
@@ -11,9 +9,13 @@ namespace ipool {
 
 namespace {
 
-// Parses "a,b" rows after a header; returns (time, value) pairs.
-Result<std::vector<std::pair<double, double>>> ReadRows(
-    const std::string& path, const std::string& expected_header) {
+// Parses "a,b" rows after a header; returns (time, value) pairs. Both
+// fields must parse in full: times with ParseDouble, values with
+// `parse_value` (ParseDouble or ParseInt64).
+template <typename T>
+Result<std::vector<std::pair<double, T>>> ReadRows(
+    const std::string& path, const std::string& expected_header,
+    Result<T> (*parse_value)(const std::string&)) {
   std::ifstream in(path);
   if (!in.is_open()) {
     return Status::NotFound("cannot open " + path);
@@ -27,7 +29,7 @@ Result<std::vector<std::pair<double, double>>> ReadRows(
         StrFormat("%s: expected header '%s', got '%s'", path.c_str(),
                   expected_header.c_str(), line.c_str()));
   }
-  std::vector<std::pair<double, double>> rows;
+  std::vector<std::pair<double, T>> rows;
   size_t line_number = 1;
   while (std::getline(in, line)) {
     ++line_number;
@@ -37,22 +39,19 @@ Result<std::vector<std::pair<double, double>>> ReadRows(
       return Status::InvalidArgument(
           StrFormat("%s:%zu: missing comma", path.c_str(), line_number));
     }
-    char* end = nullptr;
-    const std::string time_text = line.substr(0, comma);
-    const std::string value_text = line.substr(comma + 1);
-    const double time = std::strtod(time_text.c_str(), &end);
-    if (end == time_text.c_str()) {
+    Result<double> time = ParseDouble(line.substr(0, comma));
+    if (!time.ok()) {
       return Status::InvalidArgument(
-          StrFormat("%s:%zu: bad time '%s'", path.c_str(), line_number,
-                    time_text.c_str()));
+          StrFormat("%s:%zu: bad time: %s", path.c_str(), line_number,
+                    time.status().message().c_str()));
     }
-    const double value = std::strtod(value_text.c_str(), &end);
-    if (end == value_text.c_str()) {
+    Result<T> value = parse_value(line.substr(comma + 1));
+    if (!value.ok()) {
       return Status::InvalidArgument(
-          StrFormat("%s:%zu: bad value '%s'", path.c_str(), line_number,
-                    value_text.c_str()));
+          StrFormat("%s:%zu: bad value: %s", path.c_str(), line_number,
+                    value.status().message().c_str()));
     }
-    rows.push_back({time, value});
+    rows.push_back({*time, *value});
   }
   if (rows.empty()) {
     return Status::InvalidArgument("no data rows in " + path);
@@ -61,7 +60,8 @@ Result<std::vector<std::pair<double, double>>> ReadRows(
 }
 
 // Checks uniform spacing and returns the interval.
-Result<double> InferInterval(const std::vector<std::pair<double, double>>& rows,
+template <typename T>
+Result<double> InferInterval(const std::vector<std::pair<double, T>>& rows,
                              const std::string& path) {
   if (rows.size() < 2) return kDefaultIntervalSeconds;
   const double interval = rows[1].first - rows[0].first;
@@ -94,7 +94,8 @@ Status SaveTimeSeriesCsv(const TimeSeries& series, const std::string& path) {
 }
 
 Result<TimeSeries> LoadTimeSeriesCsv(const std::string& path) {
-  IPOOL_ASSIGN_OR_RETURN(auto rows, ReadRows(path, "time_seconds,value"));
+  IPOOL_ASSIGN_OR_RETURN(auto rows,
+                         ReadRows(path, "time_seconds,value", &ParseDouble));
   IPOOL_ASSIGN_OR_RETURN(double interval, InferInterval(rows, path));
   std::vector<double> values;
   values.reserve(rows.size());
@@ -119,13 +120,13 @@ Status SaveScheduleCsv(const StoredSchedule& schedule,
 }
 
 Result<StoredSchedule> LoadScheduleCsv(const std::string& path) {
-  IPOOL_ASSIGN_OR_RETURN(auto rows, ReadRows(path, "time_seconds,pool_size"));
+  IPOOL_ASSIGN_OR_RETURN(
+      auto rows, ReadRows(path, "time_seconds,pool_size", &ParseInt64));
   IPOOL_ASSIGN_OR_RETURN(double interval, InferInterval(rows, path));
   StoredSchedule schedule;
   schedule.start_time = rows.front().first;
   schedule.interval_seconds = interval;
-  for (const auto& [time, value] : rows) {
-    const int64_t size = static_cast<int64_t>(std::llround(value));
+  for (const auto& [time, size] : rows) {
     if (size < 0) {
       return Status::InvalidArgument(path + ": negative pool size");
     }

@@ -72,6 +72,15 @@ TEST_F(CsvTest, RejectsMalformedRows) {
   EXPECT_FALSE(LoadTimeSeriesCsv(path).ok());
   WriteFile(path, "time_seconds,value\n");
   EXPECT_FALSE(LoadTimeSeriesCsv(path).ok());
+  // Every field must parse in full to a finite number; the error names the
+  // file and the line.
+  for (const char* row : {"30,nan", "inf,2", "30,12abc", "30,1e999"}) {
+    WriteFile(path, std::string("time_seconds,value\n0,1\n") + row + "\n");
+    auto result = LoadTimeSeriesCsv(path);
+    ASSERT_FALSE(result.ok()) << row;
+    EXPECT_NE(result.status().message().find(path + ":3:"), std::string::npos)
+        << result.status().message();
+  }
   std::remove(path.c_str());
 }
 
@@ -95,6 +104,12 @@ TEST_F(CsvTest, RejectsNegativePoolSizes) {
   const std::string path = TempPath("negative.csv");
   WriteFile(path, "time_seconds,pool_size\n0,3\n30,-1\n");
   EXPECT_FALSE(LoadScheduleCsv(path).ok());
+  // Pool sizes are integers: no NaN, fractions or out-of-range exponents.
+  for (const char* size : {"nan", "2.5", "1e30"}) {
+    WriteFile(path, std::string("time_seconds,pool_size\n0,3\n30,") + size +
+                        "\n");
+    EXPECT_FALSE(LoadScheduleCsv(path).ok()) << size;
+  }
   std::remove(path.c_str());
 }
 

@@ -351,159 +351,24 @@ TEST(SsaTest, WindowClampedForShortHistory) {
   EXPECT_TRUE(ssa.Forecast(8).ok());
 }
 
-// ---- SSA training fast path -------------------------------------------------
-
-void ExpectForecastsClose(const std::vector<double>& a,
-                          const std::vector<double>& b, double rel) {
-  ASSERT_EQ(a.size(), b.size());
-  for (size_t i = 0; i < a.size(); ++i) {
-    const double tol = rel * std::max({1.0, std::fabs(a[i]), std::fabs(b[i])});
-    EXPECT_NEAR(a[i], b[i], tol) << "bin " << i;
-  }
-}
-
-// Strong diurnal + hourly demand with light noise: fig6_training_time's
-// periodic series, whose well-gapped low-rank head is the regime where the
-// subspace path pays off at large windows.
-TimeSeries PeriodicDemandSeries(size_t n, uint64_t seed) {
-  Rng rng(seed);
-  std::vector<double> vals(n);
-  for (size_t i = 0; i < n; ++i) {
-    const double t = static_cast<double>(i);
-    vals[i] = 400.0 + 180.0 * std::sin(2.0 * M_PI * t / 2880.0) +
-              60.0 * std::sin(2.0 * M_PI * t / 120.0) + rng.Normal(0.0, 2.0);
-  }
-  return TimeSeries(0.0, 30.0, std::move(vals));
-}
-
-TEST(SsaFastPathTest, SubspaceMatchesJacobiForecasts) {
-  // Each input is fitted on all but its last `shift` bins, then refit on the
-  // window slid forward by `shift`: a noisy sine at L = 96 and fig6's
-  // geometry (periodic demand, n = 1024, L = 256).
-  const size_t shift = 2;
-  const std::vector<std::pair<TimeSeries, size_t>> inputs = {
-      {NoisySineSeries(512 + shift, 47), 96},
-      {PeriodicDemandSeries(1024 + shift, 9), 256}};
-  for (const auto& [series, window] : inputs) {
-    SCOPED_TRACE("window " + std::to_string(window));
-    const TimeSeries ts = series.Slice(0, series.size() - shift);
-    SsaForecaster::Options options;
-    options.window = window;
-    SsaForecaster fast(options);
-    ASSERT_TRUE(fast.Fit(ts).ok());
-    EXPECT_EQ(fast.fit_path(), SsaForecaster::FitPath::kSubspace);
-    EXPECT_GT(fast.subspace_iterations(), 0u);
-
-    SsaForecaster::Options reference_options = options;
-    reference_options.force_jacobi = true;
-    SsaForecaster reference(reference_options);
-    ASSERT_TRUE(reference.Fit(ts).ok());
-    EXPECT_EQ(reference.fit_path(), SsaForecaster::FitPath::kJacobi);
-
-    EXPECT_EQ(fast.chosen_rank(), reference.chosen_rank());
-    ExpectForecastsClose(*fast.Forecast(120), *reference.Forecast(120), 1e-6);
-    // The in-sample reconstruction agrees too.
-    ASSERT_EQ(fast.reconstruction().size(),
-              reference.reconstruction().size());
-    for (size_t i = 0; i < fast.reconstruction().size(); ++i) {
-      EXPECT_NEAR(fast.reconstruction()[i], reference.reconstruction()[i],
-                  1e-6);
-    }
-
-    // The slid window reuses the Gram and the basis and stays on the fast
-    // path.
-    ASSERT_TRUE(fast.Refit(series.Slice(shift, series.size())).ok());
-    EXPECT_TRUE(fast.warm_gram_hit());
-    EXPECT_TRUE(fast.warm_basis_hit());
-    EXPECT_EQ(fast.fit_path(), SsaForecaster::FitPath::kSubspace);
-  }
-}
-
-TEST(SsaFastPathTest, RefitMatchesColdFitOverSlidingRun) {
-  // A control-loop run: the history window slides forward a few bins per
-  // tick. One warm forecaster Refit()s tick after tick; a fresh cold fit is
-  // the oracle each tick.
-  const size_t window_bins = 384;
-  const size_t shift = 2;
-  const size_t ticks = 8;
-  TimeSeries full = NoisySineSeries(window_bins + shift * ticks, 53);
-  SsaForecaster::Options options;
-  options.window = 48;
-
-  SsaForecaster warm(options);
-  size_t gram_hits = 0;
-  size_t basis_hits = 0;
-  for (size_t t = 0; t <= ticks; ++t) {
-    TimeSeries view = full.Slice(t * shift, t * shift + window_bins);
-    ASSERT_TRUE(warm.Refit(view).ok()) << "tick " << t;
-    if (warm.warm_gram_hit()) ++gram_hits;
-    if (warm.warm_basis_hit()) ++basis_hits;
-
-    SsaForecaster cold(options);
-    ASSERT_TRUE(cold.Fit(view).ok()) << "tick " << t;
-    EXPECT_EQ(warm.chosen_rank(), cold.chosen_rank()) << "tick " << t;
-    ExpectForecastsClose(*warm.Forecast(24), *cold.Forecast(24), 1e-6);
-  }
-  // Every tick after the first must have reused the cached state: the Gram
-  // slid (shift * L << K here) and the eigenbasis warm-started.
-  EXPECT_EQ(gram_hits, ticks);
-  EXPECT_EQ(basis_hits, ticks);
-}
-
-TEST(SsaFastPathTest, RefitHandlesGeometryChange) {
-  // A refit whose history length changed cannot reuse anything — it must
-  // silently behave like a cold fit.
-  SsaForecaster::Options options;
-  options.window = 32;
-  SsaForecaster warm(options);
-  ASSERT_TRUE(warm.Refit(NoisySineSeries(256, 59)).ok());
-  TimeSeries shorter = NoisySineSeries(200, 59);
-  ASSERT_TRUE(warm.Refit(shorter).ok());
-  EXPECT_FALSE(warm.warm_gram_hit());
-
-  SsaForecaster cold(options);
-  ASSERT_TRUE(cold.Fit(shorter).ok());
-  ExpectForecastsClose(*warm.Forecast(16), *cold.Forecast(16), 1e-6);
-}
+// ---- SSA training ------------------------------------------------------------
 
 TEST(SsaFastPathTest, SpikeAtEndFallsBackToLevelOnBothPaths) {
   // Zeros with a single trailing spike make the Gram's only nonzero entry
   // the (L-1, L-1) corner: u = e_{L-1}, nu^2 = 1, and the recurrence is
-  // degenerate. Both eigensolve paths must take the level-forecast fallback.
+  // degenerate. The fit must take the level-forecast fallback.
   std::vector<double> vals(16, 0.0);
   vals.back() = 100.0;
   TimeSeries ts(0.0, 30.0, vals);
   SsaForecaster::Options options;
   options.window = 8;
-  for (bool force_jacobi : {false, true}) {
-    options.force_jacobi = force_jacobi;
-    SsaForecaster ssa(options);
-    ASSERT_TRUE(ssa.Fit(ts).ok()) << "force_jacobi " << force_jacobi;
-    auto forecast = ssa.Forecast(4);
-    ASSERT_TRUE(forecast.ok());
-    for (double v : *forecast) {
-      EXPECT_NEAR(v, 100.0 / 16.0, 1e-9);  // the series mean
-    }
+  SsaForecaster ssa(options);
+  ASSERT_TRUE(ssa.Fit(ts).ok());
+  auto forecast = ssa.Forecast(4);
+  ASSERT_TRUE(forecast.ok());
+  for (double v : *forecast) {
+    EXPECT_NEAR(v, 100.0 / 16.0, 1e-9);  // the series mean
   }
-}
-
-TEST(SsaFastPathTest, SharedWarmStateCrossesInstances) {
-  // The control-loop pattern: each tick constructs a fresh forecaster, but
-  // the warm state lives outside and carries the training across.
-  SsaWarmState shared;
-  SsaForecaster::Options options;
-  options.window = 48;
-  options.warm = &shared;
-  TimeSeries full = NoisySineSeries(400, 61);
-
-  SsaForecaster first(options);
-  ASSERT_TRUE(first.Fit(full.Slice(0, 384)).ok());
-  EXPECT_TRUE(shared.valid);
-
-  SsaForecaster second(options);
-  ASSERT_TRUE(second.Refit(full.Slice(2, 386)).ok());
-  EXPECT_TRUE(second.warm_gram_hit());
-  EXPECT_TRUE(second.warm_basis_hit());
 }
 
 TEST(SsaFastPathTest, FitMetricsAndSpansRecorded) {
@@ -516,15 +381,12 @@ TEST(SsaFastPathTest, FitMetricsAndSpansRecorded) {
   TimeSeries full = NoisySineSeries(400, 67);
   SsaForecaster ssa(options);
   ASSERT_TRUE(ssa.Fit(full.Slice(0, 384)).ok());
-  ASSERT_TRUE(ssa.Refit(full.Slice(2, 386)).ok());
+  ASSERT_TRUE(ssa.Fit(full.Slice(2, 386)).ok());
 
   EXPECT_EQ(
-      metrics.GetHistogram("ipool_ssa_fit_seconds", {{"path", "subspace"}})
+      metrics.GetHistogram("ipool_ssa_fit_seconds", {{"path", "jacobi"}})
           ->count(),
       2u);
-  EXPECT_GE(metrics.GetHistogram("ipool_ssa_subspace_iters")->count(), 2u);
-  EXPECT_GE(metrics.GetCounter("ipool_ssa_warm_start_hits_total")->value(), 1u);
-  EXPECT_GE(metrics.GetCounter("ipool_ssa_gram_reuse_total")->value(), 1u);
 
   std::vector<std::string> names;
   for (const auto& span : tracer.FinishedSpans()) names.push_back(span.name);
@@ -533,31 +395,6 @@ TEST(SsaFastPathTest, FitMetricsAndSpansRecorded) {
     EXPECT_NE(std::find(names.begin(), names.end(), phase), names.end())
         << "missing span " << phase;
   }
-}
-
-TEST(SsaPlusTest, RefitWarmStartsTheFinalSsaFit) {
-  ForecastParams params = FastParams();
-  params.window = 48;
-  ForecastWarmState warm;
-  params.ssa_warm = &warm.ssa;
-  // High-SNR series (noise energy ~5e-5 of total): the subspace fast path
-  // only engages when its converged head covers the energy-selected rank,
-  // which a near-threshold noise floor would deny on both fits.
-  Rng rng(71);
-  std::vector<double> vals(400);
-  for (size_t i = 0; i < 400; ++i) {
-    vals[i] = 40.0 +
-              20.0 * std::sin(2 * M_PI * static_cast<double>(i) / 32.0) +
-              rng.Normal(0.0, 0.3);
-  }
-  TimeSeries full(0.0, 30.0, std::move(vals));
-
-  SsaPlusForecaster model(params);
-  ASSERT_TRUE(model.Fit(full.Slice(0, 384)).ok());
-  EXPECT_TRUE(warm.ssa.valid);
-  ASSERT_TRUE(model.Refit(full.Slice(2, 386)).ok());
-  ASSERT_NE(model.ssa(), nullptr);
-  EXPECT_TRUE(model.ssa()->warm_basis_hit());
 }
 
 TEST(DeepModelTest, EarlyStoppingRunsFewerEpochs) {

@@ -9,7 +9,6 @@
 #include "linalg/eigen.h"
 #include "linalg/matrix.h"
 #include "linalg/simd_kernels.h"
-#include "linalg/subspace.h"
 
 namespace ipool {
 namespace {
@@ -100,177 +99,6 @@ TEST(HankelGramTest, RejectsBadWindow) {
   EXPECT_FALSE(HankelGram({1, 2}, 3).ok());
 }
 
-TEST(HankelGramTest, SlideMatchesRebuild) {
-  Rng rng(91);
-  std::vector<double> combined(40);
-  for (double& v : combined) v = rng.Uniform(-1, 3);
-  const size_t window = 6;
-  for (size_t shift : {size_t{1}, size_t{3}, size_t{7}}) {
-    const size_t n = combined.size() - shift;
-    std::vector<double> old_series(combined.begin(),
-                                   combined.begin() + static_cast<ptrdiff_t>(n));
-    std::vector<double> new_series(combined.begin() + static_cast<ptrdiff_t>(shift),
-                                   combined.end());
-    Matrix gram = *HankelGram(old_series, window);
-    ASSERT_TRUE(SlideHankelGram(gram, combined, window, shift).ok());
-    Matrix rebuilt = *HankelGram(new_series, window);
-    for (size_t i = 0; i < window; ++i) {
-      for (size_t j = 0; j < window; ++j) {
-        EXPECT_NEAR(gram(i, j), rebuilt(i, j), 1e-9)
-            << "shift " << shift << " @" << i << "," << j;
-      }
-    }
-  }
-}
-
-TEST(HankelGramTest, SlideValidatesShapes) {
-  Matrix gram(4, 4);
-  EXPECT_FALSE(SlideHankelGram(gram, {1, 2, 3}, 6, 1).ok());
-  Matrix wrong(3, 4);
-  EXPECT_FALSE(
-      SlideHankelGram(wrong, {1, 2, 3, 4, 5, 6, 7, 8}, 4, 1).ok());
-}
-
-TEST(SubspaceTest, MatchesJacobiOnRandomPsd) {
-  Rng rng(7);
-  const size_t n = 24;
-  Matrix b(n, n);
-  for (auto& v : b.data()) v = rng.Uniform(-1, 1);
-  Matrix a = *MatMul(b, b.Transpose());  // symmetric PSD
-  const size_t want = 5;
-  auto sub = SubspaceTopEigen(a, want);
-  ASSERT_TRUE(sub.ok());
-  EXPECT_TRUE(sub->converged);
-  EXPECT_FALSE(sub->used_dense_fallback);
-  auto jac = *SymmetricEigen(a);
-  for (size_t i = 0; i < want; ++i) {
-    EXPECT_NEAR(sub->values[i], jac.values[i],
-                1e-7 * std::max(1.0, std::fabs(jac.values[i])))
-        << "eigenvalue " << i;
-    // Eigenvectors match up to sign.
-    double dot = 0.0;
-    for (size_t r = 0; r < n; ++r) dot += sub->vectors(r, i) * jac.vectors(r, i);
-    EXPECT_NEAR(std::fabs(dot), 1.0, 1e-5) << "eigenvector " << i;
-  }
-}
-
-TEST(SubspaceTest, RankDeficientMatrix) {
-  // Rank-2 PSD matrix of size 16: the wanted block is wider than the rank.
-  Rng rng(13);
-  const size_t n = 16;
-  Matrix b(n, 2);
-  for (auto& v : b.data()) v = rng.Uniform(-1, 1);
-  Matrix a = *MatMul(b, b.Transpose());
-  auto sub = SubspaceTopEigen(a, 5);
-  ASSERT_TRUE(sub.ok());
-  EXPECT_TRUE(sub->converged);
-  auto jac = *SymmetricEigen(a);
-  for (size_t i = 0; i < 5; ++i) {
-    EXPECT_NEAR(sub->values[i], jac.values[i], 1e-8 * std::max(1.0, jac.values[0]));
-  }
-  // Trailing eigenvalues are (numerically) zero.
-  EXPECT_NEAR(sub->values[2], 0.0, 1e-8 * std::max(1.0, jac.values[0]));
-}
-
-TEST(SubspaceTest, NearDegenerateSpectrum) {
-  // Two leading eigenvalues separated by 1e-9: the subspace they span is
-  // well-conditioned even though the individual vectors are not.
-  const size_t n = 12;
-  Rng rng(29);
-  // Random orthogonal basis via Gram matrix eigenvectors.
-  Matrix b(n, n);
-  for (auto& v : b.data()) v = rng.Uniform(-1, 1);
-  auto basis = (*SymmetricEigen(*MatMul(b, b.Transpose()))).vectors;
-  std::vector<double> spectrum = {2.0, 2.0 - 1e-9, 1.0, 0.5, 0.25,
-                                  0.1, 0.05, 0.01, 0.005, 0.001, 0.0005, 0.0};
-  Matrix a(n, n);
-  for (size_t i = 0; i < n; ++i) {
-    for (size_t j = 0; j < n; ++j) {
-      double acc = 0.0;
-      for (size_t k = 0; k < n; ++k) {
-        acc += basis(i, k) * spectrum[k] * basis(j, k);
-      }
-      a(i, j) = acc;
-    }
-  }
-  auto sub = SubspaceTopEigen(a, 4);
-  ASSERT_TRUE(sub.ok());
-  EXPECT_TRUE(sub->converged);
-  for (size_t i = 0; i < 4; ++i) {
-    EXPECT_NEAR(sub->values[i], spectrum[i], 1e-7);
-  }
-  // The degenerate pair's 2-D Ritz subspace matches the planted one: the
-  // projection of each Ritz vector onto span{basis_0, basis_1} has unit
-  // norm even if the individual vectors rotated within the plane.
-  for (size_t i = 0; i < 2; ++i) {
-    double p0 = 0.0;
-    double p1 = 0.0;
-    for (size_t r = 0; r < n; ++r) {
-      p0 += sub->vectors(r, i) * basis(r, 0);
-      p1 += sub->vectors(r, i) * basis(r, 1);
-    }
-    EXPECT_NEAR(p0 * p0 + p1 * p1, 1.0, 1e-5) << "Ritz vector " << i;
-  }
-}
-
-TEST(SubspaceTest, DenseFallbackOnTinyMatrix) {
-  auto a = *Matrix::FromRowMajor(2, 2, {2, 1, 1, 2});
-  auto sub = SubspaceTopEigen(a, 2);
-  ASSERT_TRUE(sub.ok());
-  EXPECT_TRUE(sub->used_dense_fallback);
-  EXPECT_TRUE(sub->converged);
-  EXPECT_NEAR(sub->values[0], 3.0, 1e-10);
-  EXPECT_NEAR(sub->values[1], 1.0, 1e-10);
-}
-
-TEST(SubspaceTest, DeterministicGivenSeed) {
-  Rng rng(55);
-  const size_t n = 20;
-  Matrix b(n, n);
-  for (auto& v : b.data()) v = rng.Uniform(-1, 1);
-  Matrix a = *MatMul(b, b.Transpose());
-  auto first = SubspaceTopEigen(a, 4);
-  auto second = SubspaceTopEigen(a, 4);
-  ASSERT_TRUE(first.ok());
-  ASSERT_TRUE(second.ok());
-  EXPECT_EQ(first->iterations, second->iterations);
-  ASSERT_EQ(first->values.size(), second->values.size());
-  for (size_t i = 0; i < first->values.size(); ++i) {
-    EXPECT_DOUBLE_EQ(first->values[i], second->values[i]);
-  }
-  for (size_t i = 0; i < first->vectors.data().size(); ++i) {
-    EXPECT_DOUBLE_EQ(first->vectors.data()[i], second->vectors.data()[i]);
-  }
-}
-
-TEST(SubspaceTest, WarmStartConvergesFaster) {
-  Rng rng(99);
-  const size_t n = 32;
-  Matrix b(n, n);
-  for (auto& v : b.data()) v = rng.Uniform(-1, 1);
-  Matrix a = *MatMul(b, b.Transpose());
-  auto cold = SubspaceTopEigen(a, 4);
-  ASSERT_TRUE(cold.ok());
-  ASSERT_TRUE(cold->converged);
-  // Perturb the matrix slightly (a control-loop tick) and restart from the
-  // previous basis: convergence should take no more iterations than cold.
-  Matrix perturbed = a;
-  for (size_t i = 0; i < n; ++i) perturbed(i, i) += 1e-6;
-  SubspaceOptions warm_options;
-  warm_options.warm_start = &cold->vectors;
-  auto warm = SubspaceTopEigen(perturbed, 4, warm_options);
-  ASSERT_TRUE(warm.ok());
-  EXPECT_TRUE(warm->converged);
-  EXPECT_LE(warm->iterations, cold->iterations);
-  EXPECT_LE(warm->iterations, 3u);
-}
-
-TEST(SubspaceTest, RejectsBadInput) {
-  EXPECT_FALSE(SubspaceTopEigen(Matrix(2, 3), 1).ok());
-  EXPECT_FALSE(SubspaceTopEigen(Matrix(), 1).ok());
-  EXPECT_FALSE(SubspaceTopEigen(Matrix::Identity(4), 0).ok());
-}
-
 TEST(EigenTest, DiagonalMatrix) {
   auto m = *Matrix::FromRowMajor(3, 3, {3, 0, 0, 0, 1, 0, 0, 0, 2});
   auto eig = SymmetricEigen(m);
@@ -318,85 +146,6 @@ TEST(EigenTest, ReconstructsRandomSymmetric) {
     for (size_t r = 0; r < n; ++r) {
       EXPECT_NEAR(av[r], eig->values[i] * vi[r], 1e-8);
     }
-  }
-}
-
-TEST(SvdTest, RankOneMatrix) {
-  // outer product u v^T with |u|=sqrt(14), |v|=sqrt(5).
-  auto a = *Matrix::FromRowMajor(3, 2, {1 * 1., 1 * 2., 2 * 1., 2 * 2., 3 * 1., 3 * 2.});
-  auto svd = ThinSvd(a);
-  ASSERT_TRUE(svd.ok());
-  ASSERT_EQ(svd->singular_values.size(), 1u);
-  EXPECT_NEAR(svd->singular_values[0], std::sqrt(14.0 * 5.0), 1e-8);
-}
-
-TEST(SvdTest, ReconstructsRandomMatrix) {
-  Rng rng(33);
-  for (auto [m, n] : {std::pair<size_t, size_t>{8, 5}, {5, 8}, {6, 6}}) {
-    Matrix a(m, n);
-    for (size_t i = 0; i < m; ++i) {
-      for (size_t j = 0; j < n; ++j) a(i, j) = rng.Uniform(-1, 1);
-    }
-    auto svd = ThinSvd(a);
-    ASSERT_TRUE(svd.ok());
-    // Reconstruct A = U diag(s) V^T and compare.
-    const size_t r = svd->singular_values.size();
-    for (size_t i = 0; i < m; ++i) {
-      for (size_t j = 0; j < n; ++j) {
-        double acc = 0.0;
-        for (size_t k = 0; k < r; ++k) {
-          acc += svd->u(i, k) * svd->singular_values[k] * svd->v(j, k);
-        }
-        EXPECT_NEAR(acc, a(i, j), 1e-7) << m << "x" << n << " @" << i << "," << j;
-      }
-    }
-  }
-}
-
-TEST(SvdTest, SingularValuesDescending) {
-  Rng rng(44);
-  Matrix a(10, 7);
-  for (auto& v : a.data()) v = rng.Uniform(-3, 3);
-  auto svd = ThinSvd(a);
-  ASSERT_TRUE(svd.ok());
-  for (size_t i = 1; i < svd->singular_values.size(); ++i) {
-    EXPECT_GE(svd->singular_values[i - 1], svd->singular_values[i] - 1e-12);
-  }
-}
-
-TEST(CholeskyTest, SolvesSpdSystem) {
-  auto a = *Matrix::FromRowMajor(2, 2, {4, 1, 1, 3});
-  auto x = CholeskySolve(a, {1, 2});
-  ASSERT_TRUE(x.ok());
-  // Verify A x = b.
-  EXPECT_NEAR(4 * (*x)[0] + 1 * (*x)[1], 1.0, 1e-12);
-  EXPECT_NEAR(1 * (*x)[0] + 3 * (*x)[1], 2.0, 1e-12);
-}
-
-TEST(CholeskyTest, RejectsIndefinite) {
-  auto a = *Matrix::FromRowMajor(2, 2, {1, 2, 2, 1});  // eigenvalues 3, -1
-  EXPECT_FALSE(CholeskySolve(a, {1, 1}).ok());
-}
-
-TEST(RidgeLeastSquaresTest, ExactOnFullRank) {
-  // Overdetermined system with exact solution x = (1, 2).
-  auto a = *Matrix::FromRowMajor(3, 2, {1, 0, 0, 1, 1, 1});
-  std::vector<double> b = {1, 2, 3};
-  auto x = RidgeLeastSquares(a, b, 1e-12);
-  ASSERT_TRUE(x.ok());
-  EXPECT_NEAR((*x)[0], 1.0, 1e-5);
-  EXPECT_NEAR((*x)[1], 2.0, 1e-5);
-}
-
-TEST(RidgeLeastSquaresTest, HandlesRankDeficiency) {
-  // Two identical columns: plain normal equations would be singular.
-  auto a = *Matrix::FromRowMajor(3, 2, {1, 1, 2, 2, 3, 3});
-  auto x = RidgeLeastSquares(a, {2, 4, 6}, 1e-6);
-  ASSERT_TRUE(x.ok());
-  // Fitted values should reproduce b.
-  for (size_t i = 0; i < 3; ++i) {
-    const double fit = a(i, 0) * (*x)[0] + a(i, 1) * (*x)[1];
-    EXPECT_NEAR(fit, 2.0 * static_cast<double>(i + 1), 1e-4);
   }
 }
 
@@ -563,19 +312,6 @@ TEST(SimdKernelTest, HankelGramBitIdenticalAcrossIsaAndSlideConsistent) {
   {
     simd::ScopedForceIsa dispatched(simd::IsaLevel::kAvx2);
     EXPECT_EQ(run(), want);
-    // The incremental slide must land on the same Gram the kernelized
-    // from-scratch build produces for the shifted series.
-    const size_t shift = 8;
-    auto gram = *HankelGram(
-        std::vector<double>(series.begin(), series.end() - shift), window);
-    ASSERT_TRUE(SlideHankelGram(gram, series, window, shift).ok());
-    const auto shifted = *HankelGram(
-        std::vector<double>(series.begin() + shift, series.end()), window);
-    for (size_t i = 0; i < window; ++i) {
-      for (size_t j = 0; j < window; ++j) {
-        EXPECT_NEAR(gram(i, j), shifted(i, j), 1e-9 * (1.0 + std::fabs(gram(i, j))));
-      }
-    }
   }
 }
 

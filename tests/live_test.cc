@@ -2,7 +2,7 @@
 // (telemetry spike in -> recommendation out, then decay), §7.6 fault
 // tolerance (a failed tick keeps serving the previous snapshot while
 // staleness rises), the §7.5 guardrail stage, idle-vs-failed tick
-// semantics, warm refits, the Health surface, publish-while-tick
+// semantics, the Health surface, publish-while-tick
 // concurrency (the TSan job runs this binary), and trace replays through
 // the plane scored by the simulator. All time is virtual: telemetry times
 // are caller-supplied and the staleness clock is injected, so every
@@ -378,51 +378,6 @@ TEST(LiveControlPlaneTest, InsufficientTelemetryIsIdleNotFailed) {
   ASSERT_TRUE(telemetry.Record("latency.east", 0.0, 1.0).ok());
   EXPECT_EQ((*plane)->TickOnce(), TickStatus::kIdle);
   EXPECT_FALSE(documents.Get("latency.east").ok());
-}
-
-// --warm-refit carries per-pool SSA training state across ticks: the second
-// tick's refit must warm-start (observable through the SSA counter).
-TEST(LiveControlPlaneTest, WarmRefitReusesForecasterState) {
-  ShardedDocumentStore documents;
-  ShardedTelemetryStore telemetry;
-  obs::MetricsRegistry registry;
-
-  PipelineConfig pipeline;
-  pipeline.model = ModelKind::kSsa;
-  pipeline.recommendation_bins = 8;
-  pipeline.forecast.window = 16;
-  pipeline.forecast.ssa_rank = 4;
-  pipeline.saa.pool.tau_bins = 1;
-  pipeline.saa.pool.stableness_bins = 4;
-  pipeline.obs.metrics = &registry;
-  auto engine = RecommendationEngine::Create(pipeline);
-  ASSERT_TRUE(engine.ok()) << engine.status().ToString();
-
-  LiveControlPlaneConfig config;
-  config.bin_interval_seconds = 30.0;
-  config.history_bins = 64;
-  config.min_history_points = 32;
-  config.warm_refit = true;
-  auto plane = LiveControlPlane::Create(&*engine, &telemetry, &documents,
-                                        config);
-  ASSERT_TRUE(plane.ok());
-
-  for (size_t i = 0; i < 64; ++i) {  // a deterministic periodic series
-    const double value = 5.0 + static_cast<double>(i % 8);
-    ASSERT_TRUE(
-        telemetry.Record("demand.ssa", 30.0 * static_cast<double>(i), value)
-            .ok());
-  }
-  ASSERT_EQ((*plane)->TickOnce(), TickStatus::kOk);
-  const uint64_t hits_after_cold =
-      registry.GetCounter("ipool_ssa_warm_start_hits_total")->value();
-
-  // One more point slides the window; the refit reuses the cached state.
-  ASSERT_TRUE(telemetry.Record("demand.ssa", 30.0 * 64.0, 5.0).ok());
-  ASSERT_EQ((*plane)->TickOnce(), TickStatus::kOk);
-  EXPECT_GT(registry.GetCounter("ipool_ssa_warm_start_hits_total")->value(),
-            hits_after_cold);
-  EXPECT_TRUE(documents.Get("ssa").ok());
 }
 
 // Health folds the loop's tick counters and staleness into its payload once
@@ -997,73 +952,6 @@ TEST(PoolingWorkerTest, CorruptDocumentFallsBack) {
   ShardedDocumentStore documents;
   documents.Put("pool", "garbage", 0.0);
   EXPECT_FALSE(live::PoolTarget(documents.Get("pool"), 10.0, kPoolTtl));
-}
-
-TEST(ReplayTest, WarmRefitMatchesColdSchedulesAndHitsWarmStarts) {
-  // The plane's warm_refit path (per-pool SsaWarmState carried across
-  // ticks) must be a pure speedup: the applied schedule is identical to
-  // forcing every pipeline run cold, and the SSA warm-start counters prove
-  // the fast path actually engaged rather than silently refitting from
-  // scratch every tick. The trace is hand-crafted rather than drawn from
-  // DemandGenerator: per-bin counts follow an exact low-rank curve (DC + one
-  // sinusoid = Hankel rank 3) with integer rounding as the only noise
-  // (~5e-5 of the energy). That clean-spectrum regime is where the subspace
-  // path engages — generator traces carry a Poisson/overdispersion noise
-  // plateau that legitimately stays on the dense oracle.
-  const double interval = 30.0;
-  const size_t bins = 1440;  // half a day at 30 s
-  std::vector<double> counts(bins);
-  std::vector<double> events;
-  for (size_t i = 0; i < bins; ++i) {
-    const auto c = static_cast<size_t>(std::llround(
-        40.0 + 20.0 * std::sin(2.0 * M_PI * static_cast<double>(i) / 64.0) +
-        6.0 * std::sin(2.0 * M_PI * static_cast<double>(i) / 97.0)));
-    counts[i] = static_cast<double>(c);
-    for (size_t e = 0; e < c; ++e) {
-      events.push_back(interval * (static_cast<double>(i) +
-                                   (static_cast<double>(e) + 0.5) /
-                                       static_cast<double>(c)));
-    }
-  }
-  const live::ReplayPool trace{TimeSeries(0.0, interval, std::move(counts)),
-                               std::move(events)};
-
-  auto run = [&](bool warm, obs::MetricsRegistry* registry) {
-    PipelineConfig pipeline = LoopPipeline();
-    pipeline.obs.metrics = registry;
-    // Tie-free alpha: at 0.2 the per-block SAA cost has slope
-    // 0.2*8 - 0.8*2 = 0 across whole pool-size intervals (10-bin blocks),
-    // so every point of the plateau is optimal and last-bit forecast
-    // differences pick different — equally optimal — schedules. 0.37 has no
-    // integer zero-slope split, making the argmin unique and the schedule
-    // comparison meaningful.
-    pipeline.saa.alpha_prime = 0.37;
-    auto engine = RecommendationEngine::Create(pipeline);
-    EXPECT_TRUE(engine.ok());
-    live::ReplayConfig config = LoopConfig();
-    config.warm_refit = warm;
-    return live::Replay(*engine, config, {trace});
-  };
-
-  obs::MetricsRegistry warm_registry;
-  obs::MetricsRegistry cold_registry;
-  auto warm = run(true, &warm_registry);
-  auto cold = run(false, &cold_registry);
-  ASSERT_TRUE(warm.ok()) << warm.status().ToString();
-  ASSERT_TRUE(cold.ok()) << cold.status().ToString();
-
-  EXPECT_EQ(warm->front().applied_schedule, cold->front().applied_schedule);
-  EXPECT_EQ(warm->front().pipeline_runs, cold->front().pipeline_runs);
-  EXPECT_GT(warm->front().pipeline_runs, 2u);
-
-  // Every run after the first should warm-start (same pool, sliding
-  // window); the cold replay must record none.
-  EXPECT_GT(
-      warm_registry.GetCounter("ipool_ssa_warm_start_hits_total")->value(),
-      0u);
-  EXPECT_EQ(
-      cold_registry.GetCounter("ipool_ssa_warm_start_hits_total")->value(),
-      0u);
 }
 
 // §6 through the full control plane: the hyper-parameter tuner runs at a

@@ -156,50 +156,34 @@ TEST(ParallelDeterminismTest, CostSeededFanOutBitIdentical) {
 }
 
 TEST(ParallelDeterminismTest, SsaFitRefitAndForecastBitIdentical) {
-  // The SSA fast path fans three stages over the ambient pool — the blocked
-  // MatMuls inside the subspace iteration, the rank-major W = H^T U build,
-  // and the diagonal-averaging reconstruction — each with a fixed
-  // per-element accumulation order, so cold Fit and warm Refit forecasts
-  // must be bit-identical to serial at every thread count.
-  // High signal-to-noise on purpose: the subspace path engages only when
-  // the retained components stand clear of the noise floor (sparse-traffic
-  // spectra go to the dense oracle, which has its own coverage).
+  // SSA training fans two stages over the ambient pool — the rank-major
+  // W = H^T U build and the diagonal-averaging reconstruction — each with
+  // a fixed per-element accumulation order, so Fit + Forecast must be
+  // bit-identical to serial at every thread count.
   Rng rng(77);
-  std::vector<double> base(520);
+  std::vector<double> base(512);
   for (size_t i = 0; i < base.size(); ++i) {
     base[i] = 40.0 + 20.0 * std::sin(static_cast<double>(i) / 8.0) +
               rng.Uniform(0.0, 3.0);
   }
-  const TimeSeries full(0.0, 30.0, std::move(base));
-  const std::vector<double> v = full.values();
-  const TimeSeries first(full.start(), full.interval(),
-                         std::vector<double>(v.begin(), v.begin() + 512));
-  const TimeSeries second(full.start() + 8.0 * full.interval(),
-                          full.interval(),
-                          std::vector<double>(v.begin() + 8, v.end()));
+  const TimeSeries history(0.0, 30.0, std::move(base));
   auto run = [&](exec::ThreadPool* pool) {
     SsaForecaster::Options options;
     options.window = 96;
     options.exec.pool = pool;
     SsaForecaster ssa(options);
-    EXPECT_TRUE(ssa.Fit(first).ok());
-    EXPECT_EQ(ssa.fit_path(), SsaForecaster::FitPath::kSubspace);
-    auto cold = ssa.Forecast(48);
-    EXPECT_TRUE(cold.ok());
-    EXPECT_TRUE(ssa.Refit(second).ok());
-    EXPECT_TRUE(ssa.warm_gram_hit());
-    auto warm = ssa.Forecast(48);
-    EXPECT_TRUE(warm.ok());
-    return std::pair<std::vector<double>, std::vector<double>>(*cold, *warm);
+    EXPECT_TRUE(ssa.Fit(history).ok());
+    auto forecast = ssa.Forecast(48);
+    EXPECT_TRUE(forecast.ok());
+    return *forecast;
   };
-  const auto serial = run(nullptr);
+  const std::vector<double> serial = run(nullptr);
   for (size_t threads : ThreadCounts()) {
     exec::ThreadPool pool(threads);
-    const auto parallel = run(&pool);
+    const std::vector<double> parallel = run(&pool);
     pool.Wait();
     EXPECT_GT(pool.tasks_executed(), 0u) << threads << " threads: inline?";
-    EXPECT_EQ(serial.first, parallel.first) << threads;
-    EXPECT_EQ(serial.second, parallel.second) << threads;
+    EXPECT_EQ(serial, parallel) << threads;
   }
 }
 
@@ -458,8 +442,8 @@ TEST(ParallelDeterminismTest, FleetTunerWinnerBitIdentical) {
   }
 }
 
-// Warm re-tunes (memo + SSA warm state populated) must reproduce the cold
-// result bit-for-bit — the warm path is a cache, never an approximation.
+// Warm re-tunes (rung-score memo populated) must reproduce the cold result
+// bit-for-bit — the memo is a cache, never an approximation.
 TEST(ParallelDeterminismTest, FleetTunerWarmEqualsCold) {
   WorkloadConfig workload = RegimeShiftProfile(/*seed=*/9, /*shift_day=*/2.0);
   workload.duration_days = 0.5;

@@ -26,7 +26,7 @@
 //                       [--days 2] [--seed 7] [--model ssa+] [--key NAME]
 //                       [--max-seconds 0] [--max-inflight 64]
 //                       [--loop-interval 0] [--min-history 64]
-//                       [--warm-refit 1] [--history-bins 480] [--shards 16]
+//                       [--history-bins 480] [--shards 16]
 //                       [--tune-interval 0] [--tune-models baseline,ssa,ssa+]
 //                       [--tune-alphas ...] [--tune-windows ...]
 //                       [--tune-eval-bins 120] [--tune-min-train 32]
@@ -48,7 +48,7 @@
 //
 // `serve --loop-interval T` (T > 0) additionally runs the in-process
 // streaming control plane (src/live): every tick it discovers pools from
-// `demand.<pool>` telemetry metrics, warm-refits each pool's forecaster,
+// `demand.<pool>` telemetry metrics, refits each pool's forecaster,
 // solves, and atomically republishes the fleet's recommendation documents
 // — PublishTelemetry traffic continuously reshapes what GetRecommendation
 // returns. `publish` injects synthetic telemetry into a running server
@@ -176,10 +176,9 @@ const std::map<std::string, std::vector<std::string>>& CommandFlags() {
        {"port", "threads", "drain-timeout", "profile", "demand", "days",
         "seed", "model", "key", "max-seconds", "max-inflight", "window",
         "horizon", "loss-alpha", "alpha", "tau-bins", "max-pool", "bins",
-        "loop-interval", "min-history", "warm-refit", "history-bins",
-        "shards", "tune-interval", "tune-models", "tune-alphas",
-        "tune-windows", "tune-eval-bins", "tune-min-train",
-        "tune-hysteresis"}},
+        "loop-interval", "min-history", "history-bins", "shards",
+        "tune-interval", "tune-models", "tune-alphas", "tune-windows",
+        "tune-eval-bins", "tune-min-train", "tune-hysteresis"}},
       {"get", {"host", "port", "key", "timeout", "retries", "trace", "raw"}},
       {"publish",
        {"host", "port", "metric", "start", "interval", "count", "value",
@@ -781,7 +780,6 @@ int CmdServe(const std::map<std::string, std::string>& flags) {
     live_config.bin_interval_seconds = demand.interval();
     live_config.history_bins = CountFlag(flags, "history-bins", 480);
     live_config.min_history_points = CountFlag(flags, "min-history", 64);
-    live_config.warm_refit = NumFlag(flags, "warm-refit", 1) != 0;
     live_config.exec.pool = pool.get();
     live_config.obs = ObsContext{&registry, &tracer};
     // --tune-interval > 0 adds the fleet auto-tuner to the loop: each
@@ -1068,7 +1066,7 @@ int main(int argc, char** argv) {
                  "           (plus --profile/--demand/--model/--key/"
                  "--max-seconds)\n"
                  "           --loop-interval 5 runs the live control plane "
-                 "(--min-history 64, --warm-refit 1, --history-bins 480)\n"
+                 "(--min-history 64, --history-bins 480)\n"
                  "           --tune-interval T adds the fleet auto-tuner "
                  "(--tune-models, --tune-alphas, --tune-windows, ...)\n"
                  "  get:     --port 7070 [--host 127.0.0.1] --key east-medium"
