@@ -6,14 +6,18 @@
 //   S2  extend STABLENESS to 10 minutes,
 //   S3  max-filter the recommended pool size with SF = tau.
 //
-// Evaluation is rolling, as in production: every hour the pipeline retrains
-// on all history so far and emits the next hour's schedule.
+// Evaluation is rolling, as in production: the trace replays through the
+// live control plane (live::Replay) that `serve` ticks. Every hour the plane
+// retrains on a trailing window as long as the first half of the trace (so
+// the first scored run sees all of it) and publishes the next hour's
+// schedule; the second half of the applied schedule is scored.
 //
 // Paper: with the strategies the pool absorbs irregular spikes (hit rate ->
 // ~100%) while still undercutting a static pool sized for the spikes, and
 // COGS savings rose from 18% to 64% because the pool shrinks toward zero
 // when demand is near zero (nights).
 #include "bench/bench_util.h"
+#include "live/replay.h"
 
 namespace {
 
@@ -29,7 +33,7 @@ struct StrategyConfig {
 };
 
 PoolMetrics RunRolling(const StrategyConfig& strategy, const TimeSeries& all,
-                       size_t eval_start) {
+                       const std::vector<double>& events, size_t eval_start) {
   const size_t bins_per_hour = 120;
   PipelineConfig config;
   config.model = ModelKind::kSsaPlus;
@@ -45,14 +49,18 @@ PoolMetrics RunRolling(const StrategyConfig& strategy, const TimeSeries& all,
   config.smooth_recommendation = strategy.smooth_output;
   auto engine = CheckOk(RecommendationEngine::Create(config), "engine");
 
-  std::vector<int64_t> schedule;
-  for (size_t anchor = eval_start; anchor < all.size();
-       anchor += bins_per_hour) {
-    auto rec = CheckOk(engine.Run(all.Slice(0, anchor)), "run");
-    for (size_t i = 0; i < bins_per_hour && anchor + i < all.size(); ++i) {
-      schedule.push_back(rec.pool_size_per_bin[i]);
-    }
-  }
+  live::ReplayConfig replay;
+  replay.run_interval_seconds =
+      static_cast<double>(bins_per_hour) * all.interval();
+  replay.history_bins = eval_start;
+  // No guardrail: its MAE limit is in requests, so it would hold exactly
+  // the forecasts S1 max-filters upward on purpose.
+  replay.guardrail_mae_ratio = 0.0;
+  const std::vector<int64_t> applied =
+      CheckOk(live::Replay(engine, replay, {{all, events}}), "replay")
+          .front()
+          .applied_schedule;
+  std::vector<int64_t> schedule(applied.begin() + eval_start, applied.end());
   TimeSeries eval = all.Slice(eval_start, all.size());
   return CheckOk(EvaluateSchedule(eval, schedule, config.saa.pool), "eval");
 }
@@ -70,6 +78,7 @@ int main() {
   workload.duration_days = QuickMode() ? 1.0 : 2.0;
   auto generator = CheckOk(DemandGenerator::Create(workload), "workload");
   TimeSeries all = generator.GenerateBinned();
+  const std::vector<double> events = generator.GenerateEvents();
   const size_t eval_start = all.size() / 2;
   TimeSeries eval = all.Slice(eval_start, all.size());
 
@@ -94,7 +103,7 @@ int main() {
   std::printf("\n%-26s %10s %12s %10s %12s %14s\n", "strategies", "hit rate",
               "avg wait(s)", "avg pool", "idle $", "save vs static");
   for (const StrategyConfig& strategy : strategies) {
-    PoolMetrics metrics = RunRolling(strategy, all, eval_start);
+    PoolMetrics metrics = RunRolling(strategy, all, events, eval_start);
     const double cost = cogs.IdleDollars(metrics.idle_cluster_seconds);
     std::printf("%-26s %9.1f%% %12.2f %10.1f %12.2f %13.1f%%\n",
                 strategy.label, 100.0 * metrics.hit_rate,

@@ -6,8 +6,6 @@
 // that motivates multiple pools).
 #include <algorithm>
 #include <cstdio>
-#include <cstdlib>
-#include <memory>
 
 #include "common/strings.h"
 #include "sim/multi_pool.h"
@@ -44,21 +42,6 @@ std::vector<SizedRequest> BuildFleetDemand(double days, uint64_t seed,
   return requests;
 }
 
-// Builds one class's solve spec for the fleet solver: a daily template
-// (§4.2's periodic policy) from the SAA on the max-filtered day-1 history,
-// one pool size per time-of-day slot, reused for day 2.
-FleetSolveSpec ClassSolveSpec(const TimeSeries& day1) {
-  FleetSolveSpec spec;
-  spec.saa.alpha_prime = 0.1;
-  spec.saa.pool.tau_bins = 3;
-  spec.saa.pool.stableness_bins = 10;
-  spec.saa.pool.max_pool_size = 300;
-  // Eq 18 margin absorbs day-to-day realization noise.
-  spec.demand = MaxFilter(day1, 10);
-  spec.period_bins = day1.size();
-  return spec;
-}
-
 }  // namespace
 
 int main() {
@@ -86,28 +69,32 @@ int main() {
     c.sim.seed = 3;
   }
 
-  // Per-class pipelines sized from each class's own day-1 history. The
-  // per-class solves are independent, so they go through the fleet solver
-  // (which fans out over a pool when IPOOL_THREADS asks for one; results
-  // are identical either way).
-  std::vector<FleetSolveSpec> specs;
-  for (size_t c = 0; c < classes.size(); ++c) {
-    specs.push_back(ClassSolveSpec(binned[c].Slice(0, day2_bins)));
-  }
-  std::unique_ptr<exec::ThreadPool> pool;
-  if (const char* env = std::getenv("IPOOL_THREADS")) {
-    const long n = std::strtol(env, nullptr, 10);
-    if (n > 0) pool = std::make_unique<exec::ThreadPool>(static_cast<size_t>(n));
-  }
-  auto solved = SolveFleetSchedules(specs, {pool.get()});
-  if (!solved.ok()) {
-    std::fprintf(stderr, "optimize: %s\n", solved.status().ToString().c_str());
+  // Per-class pipelines sized from each class's own day-1 history: a daily
+  // template (§4.2's periodic policy) from the SAA on the max-filtered day-1
+  // history, one pool size per time-of-day slot, reused for day 2.
+  SaaConfig saa;
+  saa.alpha_prime = 0.1;
+  saa.pool.tau_bins = 3;
+  saa.pool.stableness_bins = 10;
+  saa.pool.max_pool_size = 300;
+  auto optimizer = SaaOptimizer::Create(saa);
+  if (!optimizer.ok()) {
+    std::fprintf(stderr, "optimize: %s\n",
+                 optimizer.status().ToString().c_str());
     return 1;
   }
   std::vector<std::vector<int64_t>> schedules;
   std::printf("Per-class recommendations (from each class's own history):\n");
   for (size_t c = 0; c < classes.size(); ++c) {
-    std::vector<int64_t> schedule = (*solved)[c].pool_size_per_bin;
+    // Eq 18 margin absorbs day-to-day realization noise.
+    auto solved = optimizer->OptimizePeriodic(
+        MaxFilter(binned[c].Slice(0, day2_bins), 10), day2_bins);
+    if (!solved.ok()) {
+      std::fprintf(stderr, "optimize: %s\n",
+                   solved.status().ToString().c_str());
+      return 1;
+    }
+    std::vector<int64_t> schedule = solved->pool_size_per_bin;
     schedule.resize(day2_bins, schedule.back());
     schedules.push_back(std::move(schedule));
     double mean = 0;

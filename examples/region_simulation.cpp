@@ -2,14 +2,13 @@
 // region, exercising every moving part of Figure 2 — telemetry ingestion,
 // the live control plane retraining every 30 minutes (with the §7.5
 // guardrail and two injected crashes), recommendation documents in the
-// Cosmos DB stand-in, the pooling side's stale/default fallbacks,
-// Arbitrator lease management with an unhealthy worker replacement, and the
+// Cosmos DB stand-in, the pooling side's stale/default fallbacks (§7.6: a
+// failed run keeps the last document serving until it ages out), and the
 // event-driven live-pool simulation scoring the final outcome.
 #include <cstdio>
 
 #include "common/strings.h"
 #include "live/replay.h"
-#include "service/arbitrator.h"
 #include "service/monitoring.h"
 #include "workload/demand_generator.h"
 
@@ -27,27 +26,6 @@ int main() {
   TimeSeries demand = generator->GenerateBinned();
   auto events = generator->GenerateEvents();
   std::printf("Region demand: %zu requests over 24 h\n", events.size());
-
-  // --- Arbitrator: pooling tasks leased to workers ------------------------------
-  auto arbitrator = Arbitrator::Create({});
-  for (const char* w : {"worker-a", "worker-b", "worker-c"}) {
-    (void)arbitrator->AddWorker(w);
-  }
-  for (const char* item : {"session-pool", "cluster-pool", "ip-pipeline"}) {
-    (void)arbitrator->AddWorkItem(item);
-  }
-  arbitrator->RunHealthCheck(0.0);
-  std::printf("\nArbitrator assignments:\n");
-  for (const char* item : {"session-pool", "cluster-pool", "ip-pipeline"}) {
-    std::printf("  %-12s -> %s\n", item, arbitrator->OwnerOf(item)->c_str());
-  }
-  // worker-a goes down mid-day; its items must move.
-  (void)arbitrator->SetWorkerHealth("worker-a", false);
-  arbitrator->RunHealthCheck(12 * 3600.0);
-  std::printf("After worker-a failure at 12:00:\n");
-  for (const char* item : {"session-pool", "cluster-pool", "ip-pipeline"}) {
-    std::printf("  %-12s -> %s\n", item, arbitrator->OwnerOf(item)->c_str());
-  }
 
   // --- the ML pipeline ----------------------------------------------------------
   PipelineConfig pipeline;

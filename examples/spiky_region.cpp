@@ -6,12 +6,14 @@
 // with SF = tau, and a small MIN POOL SIZE floor) keep the pool raised
 // through the spike-prone hours while still shrinking toward zero at night.
 //
-// As in production, recommendations roll: every hour the pipeline retrains
-// on all history so far and emits the next hour's schedule.
+// As in production, recommendations roll: the trace replays through the
+// live control plane (live::Replay), which every hour retrains on the
+// trailing day and publishes the next hour's schedule; day 2 is scored.
 #include <cstdio>
 
 #include "common/strings.h"
 #include "core/recommendation_engine.h"
+#include "live/replay.h"
 #include "solver/pool_model.h"
 #include "workload/demand_generator.h"
 
@@ -19,7 +21,8 @@ namespace {
 
 using namespace ipool;
 
-PoolMetrics RunRolling(bool robust, const TimeSeries& all, size_t eval_start) {
+PoolMetrics RunRolling(bool robust, const TimeSeries& all,
+                       const std::vector<double>& events, size_t eval_start) {
   const size_t bins_per_hour = 120;
   PipelineConfig config;
   config.model = ModelKind::kSsaPlus;
@@ -44,18 +47,20 @@ PoolMetrics RunRolling(bool robust, const TimeSeries& all, size_t eval_start) {
     std::exit(1);
   }
 
-  std::vector<int64_t> schedule;
-  for (size_t anchor = eval_start; anchor < all.size();
-       anchor += bins_per_hour) {
-    auto rec = engine->Run(all.Slice(0, anchor));
-    if (!rec.ok()) {
-      std::fprintf(stderr, "pipeline: %s\n", rec.status().ToString().c_str());
-      std::exit(1);
-    }
-    for (size_t i = 0; i < bins_per_hour && anchor + i < all.size(); ++i) {
-      schedule.push_back(rec->pool_size_per_bin[i]);
-    }
+  live::ReplayConfig replay;
+  replay.run_interval_seconds =
+      static_cast<double>(bins_per_hour) * all.interval();
+  replay.history_bins = eval_start;
+  // No guardrail: its MAE limit is in requests, so it would hold exactly
+  // the forecasts S1 max-filters upward on purpose.
+  replay.guardrail_mae_ratio = 0.0;
+  auto result = live::Replay(*engine, replay, {{all, events}});
+  if (!result.ok()) {
+    std::fprintf(stderr, "replay: %s\n", result.status().ToString().c_str());
+    std::exit(1);
   }
+  const std::vector<int64_t>& applied = result->front().applied_schedule;
+  std::vector<int64_t> schedule(applied.begin() + eval_start, applied.end());
   TimeSeries eval = all.Slice(eval_start, all.size());
   auto metrics = EvaluateSchedule(eval, schedule, config.saa.pool);
   return *metrics;
@@ -69,13 +74,14 @@ int main() {
   workload.duration_days = 2.0;
   auto generator = DemandGenerator::Create(workload);
   TimeSeries all = generator->GenerateBinned();
+  const std::vector<double> events = generator->GenerateEvents();
   const size_t eval_start = all.size() / 2;
   std::printf("Spiky region: %.0f requests/day, max %.0f requests/bin, "
               "spikes every ~3 h in working hours\n",
               all.Sum() / 2.0, all.Max());
 
-  PoolMetrics plain = RunRolling(/*robust=*/false, all, eval_start);
-  PoolMetrics robust = RunRolling(/*robust=*/true, all, eval_start);
+  PoolMetrics plain = RunRolling(/*robust=*/false, all, events, eval_start);
+  PoolMetrics robust = RunRolling(/*robust=*/true, all, events, eval_start);
 
   CogsModel cogs;
   std::printf("\n%-26s %14s %16s\n", "", "plain", "with §7.5 fixes");

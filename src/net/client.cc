@@ -32,13 +32,16 @@ Status Errno(const std::string& what) {
   return Status::Unavailable(what + ": " + std::strerror(errno));
 }
 
-/// Polls one fd for `events` until the deadline; OK when ready.
+/// Polls one fd for `events` until the deadline; OK when ready. Each wait
+/// is capped so a far deadline never overflows poll's int milliseconds; the
+/// loop re-polls until the deadline passes.
 Status PollFd(int fd, short events, double deadline) {
   while (true) {
     const double remaining = deadline - NowSeconds();
     if (remaining <= 0.0) return Status::DeadlineExceeded("request timed out");
     pollfd pfd{fd, events, 0};
-    const int n = poll(&pfd, 1, static_cast<int>(remaining * 1000.0) + 1);
+    const int wait_ms = static_cast<int>(std::min(remaining * 1000.0, 1e9));
+    const int n = poll(&pfd, 1, wait_ms + 1);
     if (n > 0) return Status::OK();
     if (n < 0 && errno != EINTR) return Errno("poll");
   }

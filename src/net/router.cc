@@ -148,8 +148,10 @@ Result<std::string> Router::Dispatch(Method method,
       }
       size_t limit = kDefaultTraceSpanLimit;
       if (!payload.empty()) {
-        IPOOL_ASSIGN_OR_RETURN(const double parsed, ParseDouble(payload));
-        if (parsed < 1.0) {
+        // A whole number, range-checked before the cast: "2.5" and "1e30"
+        // are rejected rather than truncated or overflowed.
+        IPOOL_ASSIGN_OR_RETURN(const int64_t parsed, ParseInt64(payload));
+        if (parsed < 1) {
           return Status::InvalidArgument("trace span limit must be >= 1");
         }
         limit = static_cast<size_t>(parsed);

@@ -1,8 +1,10 @@
-// The sharded, snapshot-read document store behind the serving hot path
-// (ROADMAP item 2): N power-of-two shards, FNV-1a pool-key hash -> shard,
-// per-shard writer mutex, and an RCU-style immutable snapshot per shard so
-// GetRecommendation readers never hold a lock while they look up or copy a
-// document.
+// The document store, standing in for Cosmos DB in the paper's Fig. 2: the
+// live plane publishes recommendation and tuning documents here, and pooling
+// workers and GetRecommendation read them back. It is sharded and
+// snapshot-read for the serving hot path: N power-of-two shards, FNV-1a
+// pool-key hash -> shard, per-shard writer mutex, and an RCU-style immutable
+// snapshot per shard so GetRecommendation readers never hold a lock while
+// they look up or copy a document.
 //
 // Read path: readers atomically load the shard's `shared_ptr<const
 // Snapshot>`, then do a plain map lookup and copy the pre-serialized payload
@@ -19,10 +21,10 @@
 // payload_builds() counts fresh payload materializations; tests assert it
 // stays flat across ticks that publish identical documents.
 //
-// Semantics vs the plain DocumentStore: Get/Put/Delete behave identically
-// except that a byte-identical Put does not increment the version (the
+// Versioning: each key's version increments once per distinct value; a
+// byte-identical Put refreshes `updated_at` but keeps the version (the
 // document, as served, did not change). Timestamps are virtual-time values
-// supplied by the caller, as before.
+// supplied by the caller; nothing reads a wall clock.
 #ifndef IPOOL_SERVICE_SHARDED_DOCUMENT_STORE_H_
 #define IPOOL_SERVICE_SHARDED_DOCUMENT_STORE_H_
 
@@ -35,13 +37,17 @@
 #include <vector>
 
 #include "common/status.h"
-#include "service/document_store.h"
 
 namespace ipool {
 
 class ShardedDocumentStore {
  public:
-  using Document = DocumentStore::Document;
+  /// A document as Get returns it.
+  struct Document {
+    std::string value;
+    double updated_at = 0.0;
+    int64_t version = 0;
+  };
 
   /// One write in a PutBatch.
   struct PutOp {

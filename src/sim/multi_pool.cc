@@ -22,38 +22,6 @@ Result<MultiPoolSimulator> MultiPoolSimulator::Create(
   return MultiPoolSimulator(std::move(classes), allow_upgrade);
 }
 
-Result<std::vector<PoolSchedule>> SolveFleetSchedules(
-    const std::vector<FleetSolveSpec>& specs,
-    const exec::ExecContext& exec) {
-  // Each spec's solve touches only its own slot, so the fleet fans out over
-  // the pool with schedules still returned in spec order.
-  std::vector<PoolSchedule> schedules(specs.size());
-  std::vector<Status> statuses(specs.size());
-  exec::ParallelFor(exec, 0, specs.size(), [&](size_t lo, size_t hi) {
-    for (size_t idx = lo; idx < hi; ++idx) {
-      statuses[idx] = [&]() -> Status {
-        IPOOL_ASSIGN_OR_RETURN(SaaOptimizer optimizer,
-                               SaaOptimizer::Create(specs[idx].saa));
-        if (specs[idx].period_bins == 0) {
-          IPOOL_ASSIGN_OR_RETURN(schedules[idx],
-                                 optimizer.Optimize(specs[idx].demand));
-        } else {
-          IPOOL_ASSIGN_OR_RETURN(
-              schedules[idx],
-              optimizer.OptimizePeriodic(specs[idx].demand,
-                                         specs[idx].period_bins));
-        }
-        return Status::OK();
-      }();
-    }
-  });
-  // First error by spec index wins, matching a serial left-to-right loop.
-  for (const Status& s : statuses) {
-    IPOOL_RETURN_NOT_OK(s);
-  }
-  return schedules;
-}
-
 std::vector<std::vector<double>> SplitByClass(
     const std::vector<SizedRequest>& requests, size_t num_classes) {
   std::vector<std::vector<double>> split(num_classes);

@@ -19,9 +19,7 @@
 #include <vector>
 
 #include "common/status.h"
-#include "exec/thread_pool.h"
 #include "sim/pool_simulator.h"
-#include "solver/saa_optimizer.h"
 
 namespace ipool {
 
@@ -86,23 +84,6 @@ class MultiPoolSimulator {
 /// running per-class forecasting pipelines).
 std::vector<std::vector<double>> SplitByClass(
     const std::vector<SizedRequest>& requests, size_t num_classes);
-
-/// One per-class SAA solve of a fleet: its planning demand and optimizer
-/// config, plus the periodic-template period (0 runs the full block DP,
-/// anything else runs OptimizePeriodic with that period).
-struct FleetSolveSpec {
-  TimeSeries demand;
-  SaaConfig saa;
-  size_t period_bins = 0;
-};
-
-/// Solves every class's schedule for a fleet (region x node-size pools).
-/// The solves are independent, so they fan out over `exec`'s pool when one
-/// is wired in; schedules come back in spec order, bit-identical to solving
-/// serially.
-Result<std::vector<PoolSchedule>> SolveFleetSchedules(
-    const std::vector<FleetSolveSpec>& specs,
-    const exec::ExecContext& exec = {});
 
 }  // namespace ipool
 

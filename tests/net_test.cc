@@ -449,6 +449,13 @@ TEST(ServerTest, TraceMethodHonorsSpanLimit) {
   // 2 spans per line-pair: each Health request leaves net.Health +
   // router.Health; a limit of 2 returns exactly 2 JSONL lines.
   EXPECT_EQ(std::count(limited->begin(), limited->end(), '\n'), 2);
+  // The limit is a whole number >= 1: anything else is refused, never
+  // truncated or cast out of range.
+  for (const char* bad : {"0", "-3", "2.5", "1e30", "abc"}) {
+    auto response = client.Call(Method::kTrace, bad);
+    ASSERT_TRUE(response.ok()) << bad;
+    EXPECT_EQ(response->status, WireStatus::kInvalidArgument) << bad;
+  }
   service.server->Shutdown(1.0);
 }
 
@@ -771,6 +778,19 @@ TEST(ClientTest, RejectsCorruptedResponseCrc) {
   EXPECT_GE(client.stats().protocol_errors, 1u);
   close(listener);
   evil.join();
+}
+
+// Deadlines far beyond poll's int-millisecond range still serve: each wait
+// is capped and re-polled, never cast out of range.
+TEST(ClientTest, FarDeadlinesStillServe) {
+  TestService service;
+  ClientConfig config = service.ClientCfg();
+  config.connect_timeout_seconds = 1e12;
+  config.request_timeout_seconds = 1e12;
+  Client client(config);
+  auto health = client.Health();
+  ASSERT_TRUE(health.ok()) << health.status().ToString();
+  EXPECT_EQ(*health, "ok");
 }
 
 TEST(ClientTest, NonIdempotentPublishStillRetriesShedResponses) {

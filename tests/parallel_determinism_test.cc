@@ -1,9 +1,9 @@
 // The determinism contract of DESIGN.md "Execution & parallelism", enforced
 // end to end: every parallelized path — blocked nn/linalg MatMul (forward
-// and backward), deep-model training with an ambient pool, SweepPareto,
-// fleet solves and multi-pool trace replays — must produce results
-// bit-identical to its serial execution at every thread count. Run under
-// TSan in CI, so these double as data-race coverage of the runtime.
+// and backward), deep-model training with an ambient pool, SweepPareto and
+// multi-pool trace replays — must produce results bit-identical to its
+// serial execution at every thread count. Run under TSan in CI, so these
+// double as data-race coverage of the runtime.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -23,7 +23,6 @@
 #include "obs/trace.h"
 #include "live/replay.h"
 #include "nn/ops.h"
-#include "sim/multi_pool.h"
 #include "solver/saa_optimizer.h"
 #include "tsdata/time_series.h"
 #include "workload/demand_generator.h"
@@ -279,69 +278,6 @@ TEST(ParallelDeterminismTest, SweepParetoPropagatesObsIntoSolves) {
   // one "solve" span per alpha too — just like the serial pass.
   EXPECT_EQ(parallel_tracer.FinishedSpans().size(), alphas.size());
   EXPECT_EQ(parallel_tracer.dropped(), 0u);
-}
-
-TEST(ParallelDeterminismTest, FleetSolvesBitIdentical) {
-  std::vector<FleetSolveSpec> specs;
-  for (size_t c = 0; c < 4; ++c) {
-    FleetSolveSpec spec;
-    spec.demand = SyntheticDemand(240, 50 + c);
-    spec.saa.alpha_prime = 0.1 + 0.2 * static_cast<double>(c);
-    spec.saa.pool.tau_bins = 3;
-    spec.saa.pool.stableness_bins = 10;
-    spec.saa.pool.max_pool_size = 50;
-    spec.period_bins = c % 2 == 0 ? 0 : 120;  // mix full DP and periodic
-    specs.push_back(std::move(spec));
-  }
-  auto serial = SolveFleetSchedules(specs);
-  ASSERT_TRUE(serial.ok());
-  ASSERT_EQ(serial->size(), specs.size());
-  for (size_t threads : ThreadCounts()) {
-    exec::ThreadPool pool(threads);
-    auto parallel = SolveFleetSchedules(specs, {&pool});
-    ASSERT_TRUE(parallel.ok()) << threads;
-    ASSERT_EQ(parallel->size(), serial->size());
-    for (size_t i = 0; i < serial->size(); ++i) {
-      EXPECT_EQ((*serial)[i].pool_size_per_bin,
-                (*parallel)[i].pool_size_per_bin)
-          << threads << " spec " << i;
-      EXPECT_EQ((*serial)[i].objective, (*parallel)[i].objective);
-    }
-  }
-}
-
-TEST(ParallelDeterminismTest, FleetSolveErrorsReportFirstFailingSpec) {
-  std::vector<FleetSolveSpec> specs(2);
-  specs[0].demand = SyntheticDemand(240, 60);
-  specs[0].saa.pool.tau_bins = 3;
-  specs[0].saa.pool.stableness_bins = 10;
-  specs[1] = specs[0];
-  specs[1].saa.alpha_prime = 2.0;  // invalid: must be in [0, 1]
-  exec::ThreadPool pool(2);
-  auto result = SolveFleetSchedules(specs, {&pool});
-  EXPECT_FALSE(result.ok());
-}
-
-// Fleet solves fan out with the caller's tracer intact: the tracer keeps
-// per-thread span buffers, so every concurrent solve records its span.
-TEST(ParallelDeterminismTest, FleetSolvesTraceEverySpec) {
-  obs::Tracer tracer;
-  std::vector<FleetSolveSpec> specs(4);
-  for (size_t c = 0; c < specs.size(); ++c) {
-    specs[c].demand = SyntheticDemand(240, 80 + c);
-    specs[c].saa.pool.tau_bins = 3;
-    specs[c].saa.pool.stableness_bins = 10;
-    specs[c].saa.obs.tracer = &tracer;
-  }
-  exec::ThreadPool pool(2);
-  ASSERT_TRUE(SolveFleetSchedules(specs, {&pool}).ok());
-  const auto spans = tracer.FinishedSpans();
-  EXPECT_EQ(std::count_if(spans.begin(), spans.end(),
-                          [](const obs::SpanRecord& span) {
-                            return span.name == "solve";
-                          }),
-            static_cast<ptrdiff_t>(specs.size()));
-  EXPECT_EQ(tracer.dropped(), 0u);
 }
 
 // A multi-pool replay fans each tick's pools out over the plane's pool; the

@@ -6,35 +6,11 @@
 #include "common/rng.h"
 #include "core/recommendation_engine.h"
 #include "obs/metrics.h"
-#include "service/arbitrator.h"
-#include "service/document_store.h"
 #include "service/recommendation_io.h"
 #include "service/telemetry_store.h"
 
 namespace ipool {
 namespace {
-
-// ---- document store ---------------------------------------------------------
-
-TEST(DocumentStoreTest, PutGetDelete) {
-  DocumentStore store;
-  EXPECT_FALSE(store.Get("missing").ok());
-  store.Put("key", "value-1", 100.0);
-  auto doc = store.Get("key");
-  ASSERT_TRUE(doc.ok());
-  EXPECT_EQ(doc->value, "value-1");
-  EXPECT_DOUBLE_EQ(doc->updated_at, 100.0);
-  EXPECT_EQ(doc->version, 1);
-
-  store.Put("key", "value-2", 200.0);
-  doc = store.Get("key");
-  EXPECT_EQ(doc->value, "value-2");
-  EXPECT_EQ(doc->version, 2);
-
-  EXPECT_TRUE(store.Delete("key"));
-  EXPECT_FALSE(store.Delete("key"));
-  EXPECT_FALSE(store.Get("key").ok());
-}
 
 // ---- telemetry store --------------------------------------------------------
 
@@ -245,79 +221,6 @@ TEST(RecommendationIoTest, TruncatedSerializationRejected) {
     EXPECT_FALSE(ParseRecommendation(full.substr(0, cut)).ok())
         << "cut at " << cut;
   }
-}
-
-// ---- arbitrator -------------------------------------------------------------
-
-TEST(ArbitratorTest, AssignsWorkToHealthyWorker) {
-  auto arb = Arbitrator::Create({});
-  ASSERT_TRUE(arb.ok());
-  ASSERT_TRUE(arb->AddWorker("w1").ok());
-  ASSERT_TRUE(arb->AddWorkItem("pool-task").ok());
-  EXPECT_EQ(arb->RunHealthCheck(0.0), 1u);
-  EXPECT_EQ(arb->OwnerOf("pool-task"), "w1");
-}
-
-TEST(ArbitratorTest, RejectsDuplicates) {
-  auto arb = Arbitrator::Create({});
-  ASSERT_TRUE(arb->AddWorker("w1").ok());
-  EXPECT_FALSE(arb->AddWorker("w1").ok());
-  ASSERT_TRUE(arb->AddWorkItem("t").ok());
-  EXPECT_FALSE(arb->AddWorkItem("t").ok());
-  EXPECT_FALSE(arb->SetWorkerHealth("ghost", true).ok());
-}
-
-TEST(ArbitratorTest, ReplacesUnhealthyWorker) {
-  auto arb = Arbitrator::Create({});
-  ASSERT_TRUE(arb->AddWorker("w1").ok());
-  ASSERT_TRUE(arb->AddWorker("w2").ok());
-  ASSERT_TRUE(arb->AddWorkItem("task").ok());
-  arb->RunHealthCheck(0.0);
-  const std::string original = *arb->OwnerOf("task");
-  ASSERT_TRUE(arb->SetWorkerHealth(original, false).ok());
-  arb->RunHealthCheck(10.0);
-  ASSERT_TRUE(arb->OwnerOf("task").has_value());
-  EXPECT_NE(*arb->OwnerOf("task"), original);
-}
-
-TEST(ArbitratorTest, HealthyLeaseIsRenewedNotReassigned) {
-  ArbitratorConfig config;
-  config.lease_duration_seconds = 100.0;
-  auto arb = Arbitrator::Create(config);
-  ASSERT_TRUE(arb->AddWorker("w1").ok());
-  ASSERT_TRUE(arb->AddWorker("w2").ok());
-  ASSERT_TRUE(arb->AddWorkItem("task").ok());
-  arb->RunHealthCheck(0.0);
-  const std::string owner = *arb->OwnerOf("task");
-  // Run checks well past the lease: the healthy owner keeps renewing.
-  for (double t = 50; t < 1000; t += 50) arb->RunHealthCheck(t);
-  EXPECT_EQ(*arb->OwnerOf("task"), owner);
-  EXPECT_EQ(arb->reassignments(), 1u);  // only the initial assignment
-}
-
-TEST(ArbitratorTest, NoHealthyWorkersLeavesUnassigned) {
-  auto arb = Arbitrator::Create({});
-  ASSERT_TRUE(arb->AddWorker("w1").ok());
-  ASSERT_TRUE(arb->SetWorkerHealth("w1", false).ok());
-  ASSERT_TRUE(arb->AddWorkItem("task").ok());
-  EXPECT_EQ(arb->RunHealthCheck(0.0), 0u);
-  EXPECT_FALSE(arb->OwnerOf("task").has_value());
-  // Worker recovers: next check assigns.
-  ASSERT_TRUE(arb->SetWorkerHealth("w1", true).ok());
-  EXPECT_EQ(arb->RunHealthCheck(1.0), 1u);
-  EXPECT_EQ(arb->OwnerOf("task"), "w1");
-}
-
-TEST(ArbitratorTest, BalancesLoadAcrossWorkers) {
-  auto arb = Arbitrator::Create({});
-  ASSERT_TRUE(arb->AddWorker("w1").ok());
-  ASSERT_TRUE(arb->AddWorker("w2").ok());
-  for (int i = 0; i < 4; ++i) {
-    ASSERT_TRUE(arb->AddWorkItem("task-" + std::to_string(i)).ok());
-  }
-  arb->RunHealthCheck(0.0);
-  EXPECT_EQ(arb->LoadOf("w1"), 2u);
-  EXPECT_EQ(arb->LoadOf("w2"), 2u);
 }
 
 }  // namespace

@@ -1,8 +1,9 @@
 // Tests for the sharded, snapshot-read stores behind the serving hot path:
-// semantic equivalence with the plain single-map stores (byte-identical
-// documents, identical binned queries, for every shard count), the payload
-// dedup contract (payload_builds stays flat across byte-identical
-// republishes; versions only move on value changes), snapshot immutability
+// semantic equivalence with single-map references (a std::map of documents
+// and the plain TelemetryStore: byte-identical documents, identical binned
+// queries, for every shard count), the payload dedup contract
+// (payload_builds stays flat across byte-identical republishes; versions
+// only move on value changes), snapshot immutability
 // under racing publishes, the per-shard all-or-nothing RecordBatch
 // contract, and reader/writer stress on both stores (the TSan job runs this
 // binary — any lock-discipline slip in the RCU publish or the shard locks
@@ -10,13 +11,13 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <map>
 #include <memory>
 #include <string>
 #include <thread>
 #include <vector>
 
 #include "common/strings.h"
-#include "service/document_store.h"
 #include "service/sharded_document_store.h"
 #include "service/sharded_telemetry_store.h"
 #include "service/telemetry_store.h"
@@ -46,11 +47,12 @@ TEST(ShardedDocumentStoreTest, ShardIndexIsStableAndInRange) {
 }
 
 // For every shard count, the same Put/Delete sequence yields documents
-// byte-identical (value, version, updated_at) to the plain DocumentStore —
+// byte-identical (value, version, updated_at) to a plain map whose version
+// counts Puts — every round writes new values, so the two must agree —
 // sharding must be invisible to readers.
 TEST(ShardedDocumentStoreTest, MatchesPlainStoreForEveryShardCount) {
   for (const size_t shards : {1u, 4u, 16u}) {
-    DocumentStore plain;
+    std::map<std::string, ShardedDocumentStore::Document> plain;
     ShardedDocumentStore sharded(shards);
     for (int round = 0; round < 3; ++round) {
       for (int i = 0; i < 40; ++i) {
@@ -58,23 +60,24 @@ TEST(ShardedDocumentStoreTest, MatchesPlainStoreForEveryShardCount) {
         const std::string value =
             StrFormat("doc for %s round %d", key.c_str(), round);
         const double time = 100.0 * round + i;
-        plain.Put(key, value, time);
+        ShardedDocumentStore::Document& doc = plain[key];
+        doc = {value, time, doc.version + 1};
         sharded.Put(key, value, time);
       }
     }
-    EXPECT_TRUE(plain.Delete("pool-0007"));
+    EXPECT_EQ(plain.erase("pool-0007"), 1u);
     EXPECT_TRUE(sharded.Delete("pool-0007"));
     EXPECT_FALSE(sharded.Delete("pool-0007"));
     EXPECT_EQ(sharded.size(), plain.size());
     for (int i = 0; i < 40; ++i) {
       const std::string key = StrFormat("pool-%04d", i);
-      auto expect = plain.Get(key);
+      auto expect = plain.find(key);
       auto got = sharded.Get(key);
-      ASSERT_EQ(expect.ok(), got.ok()) << key << " shards=" << shards;
-      if (!expect.ok()) continue;
-      EXPECT_EQ(got->value, expect->value) << key;
-      EXPECT_EQ(got->version, expect->version) << key;
-      EXPECT_DOUBLE_EQ(got->updated_at, expect->updated_at) << key;
+      ASSERT_EQ(expect != plain.end(), got.ok()) << key << " shards=" << shards;
+      if (expect == plain.end()) continue;
+      EXPECT_EQ(got->value, expect->second.value) << key;
+      EXPECT_EQ(got->version, expect->second.version) << key;
+      EXPECT_DOUBLE_EQ(got->updated_at, expect->second.updated_at) << key;
     }
     EXPECT_FALSE(sharded.Get("never-written").ok());
   }

@@ -292,6 +292,41 @@ ModelKind ModelByName(const std::string& name) {
       "' (use baseline, ssa, ssa+, mwdn, tst, incpt)");
 }
 
+// The demand trace a command works on: --demand loads a CSV, otherwise
+// --profile/--seed/--days generate one. A flag the command does not accept
+// reads as its default.
+TimeSeries DemandFromFlags(const std::map<std::string, std::string>& flags,
+                           const std::string& default_profile,
+                           double default_days) {
+  if (flags.count("demand") != 0) {
+    return DieOnError(LoadTimeSeriesCsv(flags.at("demand")), "load demand");
+  }
+  WorkloadConfig workload =
+      ProfileByName(FlagOr(flags, "profile", default_profile),
+                    CountFlag(flags, "seed", 7));
+  workload.duration_days = NumFlag(flags, "days", default_days);
+  auto generator = DieOnError(DemandGenerator::Create(workload), "generate");
+  return generator.GenerateBinned();
+}
+
+// The forecast and SAA settings of recommend, loop and serve. A flag the
+// command does not accept reads as its default, which is PipelineConfig's.
+PipelineConfig PipelineFromFlags(
+    const std::map<std::string, std::string>& flags) {
+  PipelineConfig config;
+  config.model = ModelByName(FlagOr(flags, "model", "ssa+"));
+  config.forecast.window = CountFlag(flags, "window", 96);
+  config.forecast.horizon = CountFlag(flags, "horizon", 48);
+  config.forecast.alpha_prime = NumFlag(flags, "loss-alpha", 0.9);
+  config.saa.alpha_prime = NumFlag(flags, "alpha", 0.3);
+  config.saa.pool.tau_bins = CountFlag(flags, "tau-bins", 3);
+  config.saa.pool.max_pool_size =
+      static_cast<int64_t>(CountFlag(flags, "max-pool", 500));
+  config.recommendation_bins = CountFlag(flags, "bins", 120);
+  config.smoothing_factor_bins = CountFlag(flags, "smooth-sf", 0);
+  return config;
+}
+
 // --threads N: the command's shared thread pool, null (serial) by default.
 std::unique_ptr<exec::ThreadPool> PoolFromFlags(
     const std::map<std::string, std::string>& flags) {
@@ -365,12 +400,7 @@ void PrintMetrics(const PoolMetrics& metrics) {
 }
 
 int CmdGenerate(const std::map<std::string, std::string>& flags) {
-  WorkloadConfig config = ProfileByName(
-      FlagOr(flags, "profile", "east-medium"),
-      CountFlag(flags, "seed", 7));
-  config.duration_days = NumFlag(flags, "days", 2.0);
-  auto generator = DieOnError(DemandGenerator::Create(config), "generate");
-  TimeSeries series = generator.GenerateBinned();
+  TimeSeries series = DemandFromFlags(flags, "east-medium", 2.0);
   const std::string out = RequiredFlag(flags, "out");
   if (Status s = SaveTimeSeriesCsv(series, out); !s.ok()) Die(s.ToString());
   std::printf("wrote %zu bins (%.0f requests) to %s\n", series.size(),
@@ -381,17 +411,7 @@ int CmdGenerate(const std::map<std::string, std::string>& flags) {
 int CmdRecommend(const std::map<std::string, std::string>& flags) {
   TimeSeries demand = DieOnError(
       LoadTimeSeriesCsv(RequiredFlag(flags, "demand")), "load demand");
-  PipelineConfig config;
-  config.model = ModelByName(FlagOr(flags, "model", "ssa+"));
-  config.forecast.window = CountFlag(flags, "window", 96);
-  config.forecast.horizon = CountFlag(flags, "horizon", 48);
-  config.forecast.alpha_prime = NumFlag(flags, "loss-alpha", 0.9);
-  config.saa.alpha_prime = NumFlag(flags, "alpha", 0.3);
-  config.saa.pool.tau_bins = CountFlag(flags, "tau-bins", 3);
-  config.saa.pool.max_pool_size =
-      static_cast<int64_t>(CountFlag(flags, "max-pool", 500));
-  config.recommendation_bins = CountFlag(flags, "bins", 120);
-  config.smoothing_factor_bins = CountFlag(flags, "smooth-sf", 0);
+  PipelineConfig config = PipelineFromFlags(flags);
   ObsBundle obs;
   config.obs = obs.Context();
   const auto thread_pool = PoolFromFlags(flags);
@@ -553,18 +573,9 @@ double MonotonicSeconds() {
 // trace, so the second run exercises the memo cache (warm) and the command
 // reports the speedup.
 int CmdTune(const std::map<std::string, std::string>& flags) {
-  const uint64_t seed = CountFlag(flags, "seed", 7);
-  const std::string profile = FlagOr(flags, "profile", "regime-shift");
-  TimeSeries demand = [&] {
-    if (flags.count("demand") != 0) {
-      return DieOnError(LoadTimeSeriesCsv(flags.at("demand")), "load demand");
-    }
-    WorkloadConfig workload = ProfileByName(profile, seed);
-    workload.duration_days = NumFlag(flags, "days", 10.0);
-    auto generator = DieOnError(DemandGenerator::Create(workload), "generate");
-    return generator.GenerateBinned();
-  }();
-  const std::string pool_name = FlagOr(flags, "pool", profile);
+  TimeSeries demand = DemandFromFlags(flags, "regime-shift", 10.0);
+  const std::string pool_name =
+      FlagOr(flags, "pool", FlagOr(flags, "profile", "regime-shift"));
 
   autotune::FleetTunerConfig config;
   ApplyTunerGridFlags(flags, "models", "alphas", "windows", &config);
@@ -628,32 +639,15 @@ int CmdTune(const std::map<std::string, std::string>& flags) {
 
 int CmdLoop(const std::map<std::string, std::string>& flags) {
   const uint64_t seed = CountFlag(flags, "seed", 7);
-  TimeSeries demand = [&] {
-    if (flags.count("demand") != 0) {
-      return DieOnError(LoadTimeSeriesCsv(flags.at("demand")), "load demand");
-    }
-    WorkloadConfig workload =
-        ProfileByName(FlagOr(flags, "profile", "east-medium"), seed);
-    workload.duration_days = NumFlag(flags, "days", 1.0);
-    auto generator = DieOnError(DemandGenerator::Create(workload), "generate");
-    return generator.GenerateBinned();
-  }();
+  TimeSeries demand = DemandFromFlags(flags, "east-medium", 1.0);
   std::vector<double> events = ScatterEvents(demand, seed);
   // Re-base the demand trace itself so worker virtual time matches events.
   demand = TimeSeries(0.0, demand.interval(),
                       std::vector<double>(demand.values()));
 
   ObsBundle obs;
-  PipelineConfig pipeline;
+  PipelineConfig pipeline = PipelineFromFlags(flags);
   pipeline.obs = obs.Context();
-  pipeline.model = ModelByName(FlagOr(flags, "model", "ssa+"));
-  pipeline.forecast.window = CountFlag(flags, "window", 96);
-  pipeline.forecast.horizon = CountFlag(flags, "horizon", 48);
-  pipeline.forecast.alpha_prime = NumFlag(flags, "loss-alpha", 0.9);
-  pipeline.saa.alpha_prime = NumFlag(flags, "alpha", 0.3);
-  pipeline.saa.pool.tau_bins = CountFlag(flags, "tau-bins", 3);
-  pipeline.saa.pool.max_pool_size =
-      static_cast<int64_t>(CountFlag(flags, "max-pool", 500));
   const auto thread_pool = PoolFromFlags(flags);
   pipeline.forecast.exec.pool = thread_pool.get();
   auto engine = DieOnError(RecommendationEngine::Create(pipeline), "config");
@@ -716,30 +710,12 @@ volatile std::sig_atomic_t g_serve_stop = 0;
 void HandleStopSignal(int) { g_serve_stop = 1; }
 
 int CmdServe(const std::map<std::string, std::string>& flags) {
-  const uint64_t seed = CountFlag(flags, "seed", 7);
   const std::string profile = FlagOr(flags, "profile", "east-medium");
 
   // Fit a recommendation for the profile (or a supplied trace) and publish
   // it as the document GetRecommendation serves.
-  TimeSeries demand = [&] {
-    if (flags.count("demand") != 0) {
-      return DieOnError(LoadTimeSeriesCsv(flags.at("demand")), "load demand");
-    }
-    WorkloadConfig workload = ProfileByName(profile, seed);
-    workload.duration_days = NumFlag(flags, "days", 1.0);
-    auto generator = DieOnError(DemandGenerator::Create(workload), "generate");
-    return generator.GenerateBinned();
-  }();
-  PipelineConfig pipeline;
-  pipeline.model = ModelByName(FlagOr(flags, "model", "ssa+"));
-  pipeline.forecast.window = CountFlag(flags, "window", 96);
-  pipeline.forecast.horizon = CountFlag(flags, "horizon", 48);
-  pipeline.forecast.alpha_prime = NumFlag(flags, "loss-alpha", 0.9);
-  pipeline.saa.alpha_prime = NumFlag(flags, "alpha", 0.3);
-  pipeline.saa.pool.tau_bins = CountFlag(flags, "tau-bins", 3);
-  pipeline.saa.pool.max_pool_size =
-      static_cast<int64_t>(CountFlag(flags, "max-pool", 500));
-  pipeline.recommendation_bins = CountFlag(flags, "bins", 120);
+  TimeSeries demand = DemandFromFlags(flags, "east-medium", 1.0);
+  PipelineConfig pipeline = PipelineFromFlags(flags);
   obs::MetricsRegistry registry;
   pipeline.obs = ObsContext{&registry, nullptr};
   auto engine = DieOnError(RecommendationEngine::Create(pipeline), "config");
